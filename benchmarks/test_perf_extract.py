@@ -1,19 +1,12 @@
-"""Perf harness for the host-sharded feature-extraction engine.
+"""Perf harness for sharded feature extraction.
 
-Times sequential extraction
+Times the per-host reference extractor
 (:func:`repro.flows.metrics.extract_all_features`) against the
-:mod:`repro.flows.parallel` engine — in-process vectorized, and warm
-multi-process pools — over synthetic campus-shaped traffic at several
-scales, asserts every configuration's output is *bit-identical* to the
-sequential reference, and writes the measurements to
-``BENCH_extract.json`` at the repo root so successive PRs accumulate a
-perf trajectory.
-
-Warm-pool timings are the headline: the engine's design point is
-repeated extraction from a long-lived store (tumbling windows,
-threshold sweeps), where process start-up is paid once.  The one-off
-cold time (pool fork + columnar build included) is recorded alongside
-for transparency.
+production extractor (:func:`repro.flows.metrics.extract_features_sharded`,
+in-process and vectorized) over synthetic campus-shaped traffic at
+several scales, asserts the production output is *bit-identical* to
+the reference, and writes the measurements to ``BENCH_extract.json``
+at the repo root so successive PRs accumulate a perf trajectory.
 
 Run directly (full sweep)::
 
@@ -43,15 +36,13 @@ from typing import Dict, List, Sequence
 
 from history import append_history
 
-from repro.flows.metrics import extract_all_features
-from repro.flows.parallel import ParallelExtractor
+from repro.flows.metrics import extract_all_features, extract_features_sharded
 from repro.flows.record import FlowRecord, FlowState, Protocol
 from repro.flows.store import FlowStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_HOST_COUNTS = (200, 600, 1500)
 FLOWS_PER_HOST = 150
-POOL_WORKERS = 4
 
 
 def synthesize_store(n_hosts: int, seed: int = 7) -> FlowStore:
@@ -109,62 +100,46 @@ def run_benchmark(
     out_path: Path,
     repeats: int = 3,
 ) -> dict:
-    """Time every mode at every scale and write the JSON report.
+    """Time both extractors at every scale and write the JSON report.
 
-    Equivalence with the sequential extractor is asserted for every
-    mode at every scale — a speedup that changed the features would
-    silently move the pipeline's percentile thresholds.
+    Equivalence with the reference extractor is asserted at every
+    scale — a speedup that changed the features would silently move the
+    pipeline's percentile thresholds.
     """
     report = {
-        "benchmark": "host-sharded feature extraction engine",
+        "benchmark": "sharded feature extraction",
         "generated_by": "benchmarks/test_perf_extract.py",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "cpu_count": os.cpu_count(),
         "flows_per_host_base": FLOWS_PER_HOST,
-        "pool_workers": POOL_WORKERS,
         "results": [],
     }
     for n_hosts in host_counts:
         store = synthesize_store(n_hosts)
         sequential = _best_of(lambda: extract_all_features(store), repeats)
-        reference = sequential["result"]
-
-        inproc = _best_of(lambda: ParallelExtractor(store, 0).extract(), repeats)
-
-        with ParallelExtractor(store, POOL_WORKERS) as engine:
-            cold = _best_of(engine.extract, 1)  # fork + columnar build
-            warm = _best_of(engine.extract, repeats)
-
+        inproc = _best_of(lambda: extract_features_sharded(store), repeats)
+        if inproc["result"] != sequential["result"]:
+            raise AssertionError(
+                f"inprocess_vectorized diverges from sequential at {n_hosts} hosts"
+            )
+        modes = {"sequential": sequential, "inprocess_vectorized": inproc}
         entry = {
             "n_hosts": n_hosts,
             "n_flows": len(store),
-            "modes": {},
+            "modes": {
+                name: {
+                    "seconds": run["seconds"],
+                    "speedup_vs_sequential": sequential["seconds"] / run["seconds"],
+                }
+                for name, run in modes.items()
+            },
         }
-        modes = (
-            ("sequential", sequential),
-            ("inprocess_vectorized", inproc),
-            (f"pool{POOL_WORKERS}_cold", cold),
-            (f"pool{POOL_WORKERS}_warm", warm),
-        )
-        for name, run in modes:
-            if run["result"] != reference:
-                raise AssertionError(
-                    f"{name} diverges from sequential at {n_hosts} hosts"
-                )
-            entry["modes"][name] = {
-                "seconds": run["seconds"],
-                "speedup_vs_sequential": sequential["seconds"]
-                / run["seconds"],
-            }
         report["results"].append(entry)
-        inproc_x = sequential["seconds"] / inproc["seconds"]
-        warm_x = sequential["seconds"] / warm["seconds"]
         print(
             f"n_hosts={n_hosts:5d} flows={len(store):8d}  "
             f"seq={sequential['seconds']:7.3f}s  "
-            f"inproc={inproc['seconds']:7.3f}s ({inproc_x:5.2f}x)  "
-            f"pool{POOL_WORKERS} warm={warm['seconds']:7.3f}s "
-            f"({warm_x:5.2f}x, cold {cold['seconds']:.3f}s)"
+            f"inproc={inproc['seconds']:7.3f}s "
+            f"({sequential['seconds'] / inproc['seconds']:5.2f}x)"
         )
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out_path}")
@@ -197,7 +172,7 @@ def _configured_out_path() -> Path:
 def test_perf_extract_engine():
     """Benchmark entry point under pytest.
 
-    Mode equivalence is asserted inside :func:`run_benchmark` at every
+    Equivalence is asserted inside :func:`run_benchmark` at every
     scale; the speedups themselves are recorded, not asserted, so a
     loaded CI machine cannot flake the suite.
     """

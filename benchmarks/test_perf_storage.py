@@ -171,8 +171,7 @@ def _peak_rss_kb() -> int:
 
 def _child_main(mode: str, path: str, budget: int) -> int:
     from repro.flows.argus import read_flows
-    from repro.flows.metrics import extract_all_features
-    from repro.flows.parallel import extract_features_parallel
+    from repro.flows.metrics import extract_all_features, extract_features_sharded
 
     if mode == "memory":
         store = read_flows(path)
@@ -180,7 +179,7 @@ def _child_main(mode: str, path: str, budget: int) -> int:
     elif mode == "store":
         seg_store = SegmentStore.open(path)
         view = StoreView(seg_store, max_gather_rows=budget)
-        features = extract_features_parallel(view, n_workers=0, n_shards=16)
+        features = extract_features_sharded(view)
     else:
         raise SystemExit(f"unknown child mode {mode!r}")
     print(

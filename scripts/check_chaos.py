@@ -11,13 +11,13 @@ corrupt on every run).  Quarantine mode must reconcile exactly:
 one record per quarantined row, and strict mode must still fail fast on
 the same trace.
 
-**Infrastructure chaos** — FindPlotters runs over the *clean* store
-with three faults armed at once: one pooled extraction worker is
-OOM-killed mid-wave, the checkpoint directory raises on write, and the
-first θ_hm call fails.  The run must complete, report every degradation
-(pool restart, checkpointing disabled, backend stepped down), and
-produce *exactly* the suspects of the fault-free baseline — degraded
-infrastructure changes wall time, never verdicts.
+**Infrastructure chaos** — FindPlotters runs over the *clean*
+in-memory store with ``store_dir`` set, so extraction first spools the
+rows to a segment store, while every segment read raises (the
+``store-read`` I/O fault).  The run must complete, report exactly one
+degradation (the ``extract_features`` spool stepping down to in-memory
+extraction), and produce *exactly* the suspects of the fault-free
+baseline — degraded infrastructure changes wall time, never verdicts.
 
 The metrics JSONL (span events + final registry snapshot) and the
 dead-letter CSV land in ``--artifacts`` for CI upload.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import random
 import tempfile
 from pathlib import Path
 
@@ -37,8 +38,6 @@ from _checklib import phase
 
 _checklib.bootstrap()
 
-from check_extract_resume import synthesize_store  # noqa: E402
-
 from repro import obs  # noqa: E402
 from repro.detection.pipeline import PipelineConfig, find_plotters  # noqa: E402
 from repro.flows.argus import (  # noqa: E402
@@ -46,10 +45,66 @@ from repro.flows.argus import (  # noqa: E402
     read_flows_report,
     write_flows,
 )
+from repro.flows.record import FlowRecord, FlowState, Protocol  # noqa: E402
+from repro.flows.store import FlowStore  # noqa: E402
 from repro.resilience import faults  # noqa: E402
 
+N_HOSTS = 60
 CORRUPT_RATE = 0.01
 CORRUPT_SEED = 7
+
+
+def synthesize_store(seed: int = 1729) -> FlowStore:
+    """A small deterministic campus plus a timer botnet.
+
+    The bots share a binary timer and a small stable peer list, so the
+    full pipeline should flag them — making the end-to-end "identical
+    suspects" assertions non-vacuous.
+    """
+    rng = random.Random(seed)
+    states = [FlowState.ESTABLISHED] * 3 + [FlowState.REJECTED, FlowState.TIMEOUT]
+    flows = []
+    for h in range(N_HOSTS):
+        src = f"10.0.0.{h}"
+        t = rng.random() * 100
+        for i in range(rng.randint(20, 120)):
+            t += rng.expovariate(1 / 45.0)
+            flows.append(
+                FlowRecord(
+                    src=src,
+                    dst=f"192.168.0.{rng.randrange(12)}",
+                    sport=1024 + i,
+                    dport=80,
+                    proto=Protocol.TCP,
+                    start=t,
+                    end=t + 1.0,
+                    src_bytes=rng.randrange(0, 9000),
+                    dst_bytes=0,
+                    state=rng.choice(states),
+                )
+            )
+    for b in range(6):
+        src = f"10.0.1.{b}"
+        t = float(b)
+        for i in range(120):
+            t += 30.0 + rng.uniform(-0.05, 0.05)
+            failed = i % 2 == 0  # stale peer entries: high failure rate
+            flows.append(
+                FlowRecord(
+                    src=src,
+                    dst=f"172.16.0.{i % 4}",
+                    sport=2048 + i,
+                    dport=6881,
+                    proto=Protocol.TCP,
+                    start=t,
+                    end=t + 0.5,
+                    src_bytes=rng.randrange(20, 120),
+                    dst_bytes=0,
+                    state=FlowState.TIMEOUT if failed else FlowState.ESTABLISHED,
+                )
+            )
+    rng.shuffle(flows)
+    return FlowStore(flows)
 
 
 def check_dirty_ingest(store, artifacts: Path, tmp: Path) -> None:
@@ -100,39 +155,30 @@ def check_dirty_ingest(store, artifacts: Path, tmp: Path) -> None:
     )
 
 
-def check_infrastructure_chaos(store, baseline, artifacts, tmp, workers):
-    """Worker kill + checkpoint I/O failure + θ_hm fault, in one run."""
-    sentinel = tmp / "kill-once.sentinel"
-    sentinel.touch()
-    checkpoint_dir = tmp / "checkpoints"
-    with faults.injected(
-        extract_kill_once=str(sentinel),
-        io_errors=["checkpoint", "manifest"],
-        stage_fail={"theta_hm": 1},
-    ):
-        chaotic = find_plotters(
-            store,
-            config=PipelineConfig(
-                n_workers=workers, checkpoint_dir=str(checkpoint_dir)
-            ),
-        )
+def check_infrastructure_chaos(store, baseline, tmp):
+    """Every segment read fails: the spool must step down to in-memory."""
+    config = PipelineConfig(store_dir=str(tmp / "spool"))
+    with faults.injected(io_errors=["store-read"]):
+        chaotic = find_plotters(store, config=config)
 
-    assert not sentinel.exists(), "no worker claimed the kill sentinel"
-    assert chaotic.degraded, "faulted run reported no degradations"
     for event in chaotic.degradations:
         print(f"  degradation: {event.describe()}")
-    stages = {d.stage for d in chaotic.degradations}
-    for expected in ("extract_pool", "extract_checkpoint", "theta_hm"):
-        assert expected in stages, (
-            f"expected a {expected!r} degradation, got {sorted(stages)}"
-        )
+    assert len(chaotic.degradations) == 1, (
+        f"expected exactly one degradation, got {len(chaotic.degradations)}"
+    )
+    (event,) = chaotic.degradations
+    assert (event.stage, event.from_mode, event.to_mode) == (
+        "extract_features",
+        "store",
+        "in-memory",
+    ), f"unexpected degradation: {event.describe()}"
     assert chaotic.suspects == baseline.suspects, (
         "degraded run changed the suspect set: "
         f"{sorted(chaotic.suspects ^ baseline.suspects)}"
     )
     print(
-        f"infrastructure chaos OK: {len(chaotic.degradations)} degradations "
-        f"reported, suspects identical ({len(baseline.suspects)} hosts)"
+        "infrastructure chaos OK: spool -> in-memory reported, suspects "
+        f"identical ({len(baseline.suspects)} hosts)"
     )
 
 
@@ -143,7 +189,6 @@ def main() -> int:
         default="chaos-artifacts",
         help="directory for the dead-letter CSV and metrics JSONL",
     )
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     artifacts = Path(args.artifacts)
@@ -166,9 +211,7 @@ def main() -> int:
             with phase("dirty ingest"):
                 check_dirty_ingest(store, artifacts, tmp)
             with phase("infrastructure chaos"):
-                check_infrastructure_chaos(
-                    store, baseline, artifacts, tmp, args.workers
-                )
+                check_infrastructure_chaos(store, baseline, tmp)
     finally:
         sink.write_event(obs.metrics_event())
         obs.remove_sink(sink)

@@ -81,7 +81,7 @@ from _checklib import phase
 
 _checklib.bootstrap()
 
-from check_extract_resume import synthesize_store  # noqa: E402
+from check_chaos import synthesize_store  # noqa: E402
 
 from repro.detection.pipeline import find_plotters  # noqa: E402
 from repro.flows.argus import dumps  # noqa: E402

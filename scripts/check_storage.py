@@ -16,9 +16,10 @@ features of the in-memory run.  Disk residency changes wall time,
 never verdicts.
 
 **Low-memory extraction** — features are re-extracted with a
-``max_gather_rows`` budget far below the trace's row count; host
-sharding keeps every gather under it, proving the plane works when the
-trace does not fit the budget whole.
+``max_gather_rows`` budget far below the trace's row count; the
+extractor sizes its shard count from the budget, so every gather stays
+under it, proving the plane works when the trace does not fit the
+budget whole.
 
 **Pruning** — a host+time restricted gather must skip segments via the
 zone maps (scan counters assert it) and agree with an unpruned scan.
@@ -42,13 +43,16 @@ from _checklib import phase
 
 _checklib.bootstrap()
 
-from check_extract_resume import synthesize_store  # noqa: E402
+from check_chaos import synthesize_store  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.detection.pipeline import PipelineConfig, find_plotters  # noqa: E402
 from repro.flows.argus import read_flows, write_flows  # noqa: E402
-from repro.flows.metrics import extract_all_features  # noqa: E402
-from repro.flows.parallel import extract_features_parallel  # noqa: E402
+from repro.flows.metrics import (  # noqa: E402
+    extract_all_features,
+    extract_features_sharded,
+    shard_count,
+)
 from repro.storage import MANIFEST_NAME, SegmentStore, StoreView  # noqa: E402
 
 SEGMENT_ROWS = 2_000
@@ -74,10 +78,9 @@ def check_spill_ingest(trace: Path, store_dir: Path, total_rows: int):
 
 
 def check_bit_identity(mem_store, view) -> None:
-    config = PipelineConfig(n_workers=2)
-    baseline = find_plotters(mem_store, config=config)
+    baseline = find_plotters(mem_store, config=PipelineConfig())
     assert not baseline.degraded, "in-memory baseline degraded"
-    store_backed = find_plotters(view, config=config)
+    store_backed = find_plotters(view, config=PipelineConfig())
     assert not store_backed.degraded, (
         f"store-backed run degraded: {store_backed.degradations}"
     )
@@ -100,13 +103,13 @@ def check_low_memory_extraction(mem_store, store_dir: Path) -> None:
     budget = max(total // 4, 1)
     store = SegmentStore.open(store_dir)
     budgeted = StoreView(store, max_gather_rows=budget)
-    features = extract_features_parallel(budgeted, n_workers=2, n_shards=16)
+    features = extract_features_sharded(budgeted)
     assert features == extract_all_features(mem_store), (
         "budgeted extraction diverged from the in-memory features"
     )
     print(
         f"low-memory extraction OK: {total} rows extracted under a "
-        f"{budget}-row gather budget (16 shards)"
+        f"{budget}-row gather budget ({shard_count(total, budget)} shards)"
     )
 
 

@@ -28,9 +28,8 @@ import sys
 from pathlib import Path
 
 from ..flows.argus import PARSE_ERROR_MODES, read_flows_report
-from ..flows.parallel import extract_features_parallel
+from ..flows.metrics import extract_features_sharded
 from ..obs import ObsSession, add_observability_args, configure_logging, get_logger
-from ..resilience import RetryError, StageGuard
 from ..stats.emd import PAIRWISE_BACKENDS
 from .campus import CampusConfig, build_campus_day
 from .groundtruth import identify_traders
@@ -88,34 +87,8 @@ def _read_trace(args):
 
 
 def _cmd_inspect(args) -> int:
-    if args.resume and not args.checkpoint_dir:
-        print("inspect: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     store = _read_trace(args)
-    guard = StageGuard(enabled=not args.no_degrade, name="inspect")
-
-    def parallel_extract():
-        return extract_features_parallel(
-            store,
-            n_workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            on_degrade=guard.note,
-        )
-
-    def sequential_extract():
-        return extract_features_parallel(store, n_workers=0)
-
-    attempts = [(f"parallel[{args.workers}]", parallel_extract)]
-    if args.workers > 1 or args.checkpoint_dir:
-        attempts.append(("sequential", sequential_extract))
-    try:
-        features = guard.run("extract_features", attempts)
-    except (RetryError, OSError) as exc:
-        print(f"inspect: extraction failed: {exc}", file=sys.stderr)
-        return 1
-    for event in guard.degradations:
-        logger.warning("%s", event.describe())
+    features = extract_features_sharded(store)
     print(f"{args.trace}: {len(store):,} flows, {len(features)} initiators")
     header = (
         f"{'host':<18} {'flows':>7} {'avg B/flow':>11} {'fail%':>6} "
@@ -144,7 +117,6 @@ def _cmd_detect(args) -> int:
     config = PipelineConfig(
         hm_backend=args.hm_backend,
         hm_exact=args.hm_exact,
-        n_workers=args.workers,
         degrade=not args.no_degrade,
     )
     result = find_plotters(store, config=config)
@@ -253,28 +225,6 @@ def main(argv=None) -> int:
     inspect = sub.add_parser("inspect", help="per-host features of a trace")
     add_ingest_flags(inspect)
     inspect.add_argument("--top", type=int, default=20)
-    inspect.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for feature extraction (0 = in-process)",
-    )
-    inspect.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="persist per-shard extraction checkpoints to this directory",
-    )
-    inspect.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip shards whose checkpoint in --checkpoint-dir is intact",
-    )
-    inspect.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="make stage failures fatal instead of stepping down the "
-        "fallback ladder",
-    )
     inspect.set_defaults(func=_cmd_inspect)
 
     label = sub.add_parser("label", help="apply Trader payload signatures")
@@ -296,12 +246,6 @@ def main(argv=None) -> int:
         "--hm-exact",
         action="store_true",
         help="forbid the pruned theta_hm engine (exactness escape hatch)",
-    )
-    detect.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for feature extraction (0 = in-process)",
     )
     detect.add_argument(
         "--no-degrade",

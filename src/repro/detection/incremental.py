@@ -35,12 +35,7 @@ from ..flows.store import FlowStore
 from ..flows.streaming import StreamingFeatureExtractor
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
-from ..resilience import (
-    Degradation,
-    StageGuard,
-    atomic_write_text,
-    hm_backend_ladder,
-)
+from ..resilience import Degradation, StageGuard, atomic_write_text
 from ..resilience.faults import io_point
 from ..stats.histogram import Histogram, build_histogram
 from ..stats.thresholds import percentile_threshold, select_above, select_below
@@ -166,11 +161,10 @@ class OnlineDetector:
         instants as its predecessor (see :meth:`finalize_window`).
 
     Graceful degradation (honouring ``config.degrade``): a verdict-log
-    write failure disables the log for the rest of the run instead of
-    killing a detector that has days of in-memory state, and a θ_hm
-    backend failure during evaluation steps down the backend ladder to
-    ``loop``.  Every such step is recorded on :attr:`guard` (and hence
-    in :attr:`degradations`), logged, counted and span-emitted — the
+    or window-spool write failure disables that output for the rest of
+    the run instead of killing a detector that has days of in-memory
+    state.  Every such step is recorded on :attr:`guard` (and hence in
+    :attr:`degradations`), logged, counted and span-emitted — the
     detector never falls back silently.
     """
 
@@ -569,27 +563,12 @@ class OnlineDetector:
                 hist = self._host_histogram(host, features[host].interstitials)
                 if hist is not None:
                     histograms[host] = hist
-            # Backend ladder as in the batch pipeline: every backend
-            # yields the same clustering result, so stepping down
-            # changes speed, never verdicts.
-            def cluster_with(backend):
-                def run():
-                    return cluster_hosts(
-                        histograms,
-                        self.config.hm_percentile,
-                        self.config.hm_cut_fraction,
-                        backend=backend,
-                        exact=self.config.hm_exact,
-                    )
-
-                return run
-
-            clustering = self.guard.run(
-                "theta_hm",
-                [
-                    (b, cluster_with(b))
-                    for b in hm_backend_ladder(self.config.hm_backend)
-                ],
+            clustering = cluster_hosts(
+                histograms,
+                self.config.hm_percentile,
+                self.config.hm_cut_fraction,
+                backend=self.config.hm_backend,
+                exact=self.config.hm_exact,
             )
             suspects = {h for cluster in clustering.kept for h in cluster}
             _record_stage(
@@ -614,9 +593,8 @@ class OnlineDetector:
         runs on reservoir samples).  When a window's raw flows are still
         available — e.g. the collector retains the last day on disk —
         this re-scores it with :func:`find_plotters` under this
-        detector's configuration, including its ``n_workers`` parallel
-        extraction, producing the exact batch result for comparison or
-        escalation.
+        detector's configuration, producing the exact batch result for
+        comparison or escalation.
         """
         candidates = self.internal_hosts & store.initiators
         return find_plotters(store, candidates, self.config)

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
-from ..flows.metrics import extract_all_features
-from ..flows.parallel import extract_features_parallel
+from ..flows.metrics import extract_features_sharded
 from ..flows.store import FlowStore
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
-from ..resilience import Degradation, StageGuard, hm_backend_ladder
+from ..resilience import Degradation, StageGuard
 from ..stats.emd import PAIRWISE_BACKENDS
 from .churn import theta_churn
 from .humanmachine import theta_hm
@@ -88,16 +87,6 @@ class PipelineConfig:
     #: an explicit ``hm_backend="pruned"`` is resolved as "auto".
     hm_exact: bool = False
     apply_reduction: bool = True
-    #: Worker processes for feature extraction (0/1 = in-process
-    #: vectorized; >1 = multi-process via
-    #: :mod:`repro.flows.parallel`).  Every setting yields identical
-    #: features and hence identical suspects.
-    n_workers: int = 0
-    #: Directory for per-shard extraction checkpoints (None = no
-    #: checkpointing); with ``resume`` a restarted run skips shards
-    #: whose checkpoint is intact.
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
     #: Segment-store directory for out-of-core extraction (None = stay
     #: in memory).  When set and the pipeline is handed an in-memory
     #: store, its rows are spooled into segments there once and
@@ -106,17 +95,16 @@ class PipelineConfig:
     #: :class:`repro.storage.StoreView` is store-backed regardless.
     #: Either way the features, thresholds, and suspects are
     #: bit-identical to the in-memory run; storage failures degrade
-    #: back to the in-memory ladder under the stage guard.
+    #: back to in-memory extraction under the stage guard.
     store_dir: Optional[str] = None
     #: Segment cut threshold (rows) used when spooling to ``store_dir``.
     segment_rows: int = 262_144
     #: Graceful degradation: when True (the default) a
-    #: :class:`~repro.resilience.StageGuard` steps failed stages down
-    #: their declared fallback ladder (parallel extraction → sequential,
-    #: vectorized θ_hm backends → ``loop``, checkpointing → none)
-    #: instead of aborting the run; every step is recorded in
+    #: :class:`~repro.resilience.StageGuard` steps a failed
+    #: ``store_dir`` spool down to in-memory extraction instead of
+    #: aborting the run; the step is recorded in
     #: :attr:`PipelineResult.degradations`.  ``False`` (the CLI's
-    #: ``--no-degrade``) makes the first stage failure fatal.
+    #: ``--no-degrade``) makes the spool failure fatal.
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -128,10 +116,6 @@ class PipelineConfig:
                 f"unknown hm_backend {self.hm_backend!r}; expected one of "
                 f"{PAIRWISE_BACKENDS}"
             )
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume=True requires checkpoint_dir")
         if self.segment_rows < 1:
             raise ValueError("segment_rows must be >= 1")
 
@@ -201,84 +185,33 @@ class PipelineResult:
         ]
 
 
-def _extract_attempts(store, hosts, config, guard):
-    """The extraction fallback ladder, as (mode, thunk) pairs.
+def _extract_attempts(store, hosts, config):
+    """The extraction stage as (mode, thunk) pairs for the stage guard.
 
-    The primary mode is whatever the config asked for (the parallel
-    engine already warm-restarts a broken pool between its retry waves
-    and steps down to no-checkpoint on checkpoint-dir I/O errors,
-    reporting both through the guard).  If the engine still fails —
-    workers dying faster than the retry policy tolerates — the ladder
-    falls back to in-process sharded extraction, and finally to the
-    pure-Python reference extractor, which shares no numpy kernel or
-    pool machinery with the primary path.  All rungs produce
-    bit-identical features, so degrading changes wall time, never
-    suspects.
-
-    **Storage rungs.**  A store exposing ``parallel_spec`` (a
-    :class:`repro.storage.StoreView`) runs the same ladder against the
-    segment plane — store-backed workers, then store-backed in-process,
-    then the reference extractor over synthetic records.  An in-memory
-    store with ``config.store_dir`` set gets a leading *spool* rung
-    (spill to segments, extract store-backed); any storage failure
-    there — unwritable directory, torn segment, gather over the memory
-    budget — steps down to the ordinary in-memory ladder, since the
-    trace demonstrably fits in RAM.
+    One rung, except when an in-memory store meets ``config.store_dir``:
+    then a leading *spool* rung spills the rows to segments and extracts
+    store-backed, and any storage failure there — unwritable directory,
+    torn segment, failed read — steps down to in-memory extraction,
+    since the trace demonstrably fits in RAM.  A
+    :class:`repro.storage.StoreView` input has no in-memory rung (the
+    trace may not fit), so its failures propagate.
     """
-    primary_mode = (
-        f"parallel[{config.n_workers}]" if config.n_workers > 1 else "in-process"
-    )
-    store_backed = getattr(store, "parallel_spec", None) is not None
 
-    def engine_on(target):
-        def run():
-            return extract_features_parallel(
-                target,
-                hosts,
-                n_workers=config.n_workers,
-                checkpoint_dir=config.checkpoint_dir,
-                resume=config.resume,
-                on_degrade=guard.note,
-            )
+    def extract():
+        return extract_features_sharded(store, hosts)
 
-        return run
+    if config.store_dir is None or not isinstance(store, FlowStore):
+        return [("extract", extract)]
 
-    def sequential_on(target):
-        def run():
-            return extract_features_parallel(
-                target, hosts, n_workers=0, on_degrade=guard.note
-            )
+    def spooled():
+        from ..storage import spool_flow_store
 
-        return run
+        view = spool_flow_store(
+            store, config.store_dir, segment_rows=config.segment_rows
+        )
+        return extract_features_sharded(view, hosts)
 
-    def reference():
-        all_features = extract_all_features(store)
-        return {h: f for h, f in all_features.items() if h in hosts}
-
-    if store_backed:
-        attempts = [(f"store-{primary_mode}", engine_on(store))]
-        if config.n_workers > 1 or config.checkpoint_dir is not None:
-            attempts.append(("store-sequential", sequential_on(store)))
-        attempts.append(("store-reference", reference))
-        return attempts
-
-    attempts = []
-    if config.store_dir is not None:
-
-        def spooled():
-            from ..storage import spool_flow_store
-
-            view = spool_flow_store(
-                store, config.store_dir, segment_rows=config.segment_rows
-            )
-            return engine_on(view)()
-
-        attempts.append((f"store-{primary_mode}", spooled))
-    attempts.append((primary_mode, engine_on(store)))
-    if config.n_workers > 1 or config.checkpoint_dir is not None:
-        attempts.append(("sequential", sequential_on(store)))
-    attempts.append(("reference", reference))
-    return attempts
+    return [("store", spooled), ("in-memory", extract)]
 
 
 def find_plotters(
@@ -315,19 +248,13 @@ def find_plotters(
     with span("find_plotters", input_hosts=len(hosts)) as root:
         _RUNS.inc()
 
-        # Extract every per-host feature bundle once up front — sharded
-        # and optionally multi-process/checkpointed — then let each
-        # stage read its metric off the bundles instead of re-scanning
-        # the store four times.  The engine is pinned bit-identical to
-        # the sequential extractor, so thresholds and suspects are
-        # unchanged for every n_workers setting.  Stage failures walk
-        # the fallback ladder under the guard.
-        with span(
-            "extract_features", hosts=len(hosts), workers=config.n_workers
-        ):
+        # Extract every per-host feature bundle once up front, then let
+        # each stage read its metric off the bundles instead of
+        # re-scanning the store four times.  A failed store_dir spool
+        # steps down to in-memory extraction under the guard.
+        with span("extract_features", hosts=len(hosts)):
             features = guard.run(
-                "extract_features",
-                _extract_attempts(store, hosts, config, guard),
+                "extract_features", _extract_attempts(store, hosts, config)
             )
 
         reduction: Optional[TestResult] = None
@@ -376,27 +303,15 @@ def find_plotters(
         with span(
             "theta_hm", input_hosts=len(union), backend=config.hm_backend
         ) as s:
-            # Backend ladder: every backend yields the same clustering
-            # result, so stepping down (pruned → parallel → vectorized
-            # → loop) under the guard changes speed, never suspects.
-            def hm_with(backend):
-                def run():
-                    return theta_hm(
-                        store,
-                        union,
-                        percentile=config.hm_percentile,
-                        cut_fraction=config.hm_cut_fraction,
-                        log_scale=config.hm_log_scale,
-                        backend=backend,
-                        exact=config.hm_exact,
-                        features=features,
-                    )
-
-                return run
-
-            hm = guard.run(
-                "theta_hm",
-                [(b, hm_with(b)) for b in hm_backend_ladder(config.hm_backend)],
+            hm = theta_hm(
+                store,
+                union,
+                percentile=config.hm_percentile,
+                cut_fraction=config.hm_cut_fraction,
+                log_scale=config.hm_log_scale,
+                backend=config.hm_backend,
+                exact=config.hm_exact,
+                features=features,
             )
             s.set(
                 surviving_hosts=len(hm.selected_set),

@@ -123,31 +123,12 @@ def main(argv=None) -> int:
         help="level for the repro.* diagnostic logger (default INFO)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for pipeline feature extraction "
-            "(0 = in-process; results are identical for any setting)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="persist per-shard extraction checkpoints to this directory",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip extraction shards whose checkpoint is intact",
-    )
-    parser.add_argument(
         "--no-degrade",
         action="store_true",
         help=(
             "make pipeline stage failures fatal instead of stepping "
-            "down the fallback ladder (parallel extraction -> "
-            "sequential, pruned/vectorized theta_hm -> loop)"
+            "down the fallback ladder (a failed --store-dir spool -> "
+            "in-memory extraction)"
         ),
     )
     parser.add_argument(
@@ -184,8 +165,6 @@ def main(argv=None) -> int:
         help="segment cut threshold for --store-dir (default 262144 rows)",
     )
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
     if args.segment_rows is not None and args.segment_rows < 1:
         parser.error("--segment-rows must be >= 1")
     logger = obs.configure_logging(level=args.log_level).getChild("experiments")
@@ -203,18 +182,8 @@ def main(argv=None) -> int:
     config = (
         ExperimentConfig.paper() if args.scale == "paper" else ExperimentConfig.quick()
     )
-    if (
-        args.workers
-        or args.checkpoint_dir
-        or args.no_degrade
-        or args.store_dir
-        or args.hm_backend
-        or args.hm_exact
-    ):
+    if args.no_degrade or args.store_dir or args.hm_backend or args.hm_exact:
         overrides = dict(
-            n_workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
             degrade=not args.no_degrade,
             store_dir=args.store_dir,
             hm_exact=args.hm_exact,

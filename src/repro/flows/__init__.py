@@ -13,15 +13,12 @@ from .metrics import (
     average_flow_size,
     extract_all_features,
     extract_features,
+    extract_features_sharded,
     failed_connection_rate,
     features_from_sorted_flows,
     interstitial_times,
     new_ip_fraction,
     new_ip_timeseries,
-)
-from .parallel import (
-    ShardExtractionError,
-    extract_features_parallel,
     plan_shards,
 )
 from .filters import (
@@ -55,8 +52,7 @@ __all__ = [
     "extract_features",
     "features_from_sorted_flows",
     "extract_all_features",
-    "ShardExtractionError",
-    "extract_features_parallel",
+    "extract_features_sharded",
     "plan_shards",
     "active_hosts",
     "internal_initiators",

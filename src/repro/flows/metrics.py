@@ -16,15 +16,28 @@ produces the paper's §IV definitions; the order-sensitive ones
 :meth:`repro.flows.store.FlowStore.flows_from` maintains that order at
 insertion — skip the redundant per-call sorts.  :func:`extract_features`
 sorts (at most) once and passes ``presorted=True`` throughout.
+
+**Production path.**  :func:`extract_features_sharded` is what the
+pipeline runs: it plans host shards balanced by flow count
+(:func:`plan_shards`), runs the vectorized group-by kernel
+(:func:`repro.flows.store.group_by_host`) over each shard's rows via
+the store's ``shard_columns``, and assembles :class:`HostFeatures`
+(:func:`assemble_features`).  :func:`extract_all_features`, the
+per-host pure-Python path, is its oracle: the two are pinned
+bit-identical by the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..obs import metrics as obs_metrics
 from .record import FlowRecord
-from .store import FlowStore
+from .store import FlowStore, ShardColumns
 
 __all__ = [
     "HostFeatures",
@@ -37,12 +50,32 @@ __all__ = [
     "extract_features",
     "features_from_sorted_flows",
     "extract_all_features",
+    "SHARDS",
+    "plan_shards",
+    "shard_count",
+    "assemble_features",
+    "extract_features_sharded",
 ]
 
 #: Seconds in the "settling" period of the churn metric: destinations first
 #: contacted within this span of a host's first activity are treated as the
 #: host's baseline peer set (§IV-B uses one hour).
 NEW_IP_GRACE_PERIOD = 3600.0
+
+#: Shards per extraction run when no gather budget asks for more:
+#: enough for LPT balancing to absorb skewed hosts, few enough that
+#: per-shard overhead stays negligible.
+SHARDS = 4
+
+_SHARDS_TOTAL = obs_metrics.counter(
+    "repro_extract_shards_total", "Extraction shards computed"
+)
+_SHARD_SECONDS = obs_metrics.histogram(
+    "repro_extract_shard_seconds", "Per-shard extraction wall time"
+)
+_HOSTS_GAUGE = obs_metrics.gauge(
+    "repro_extract_hosts", "Hosts covered by the last extraction run"
+)
 
 
 @dataclass(frozen=True)
@@ -241,10 +274,10 @@ def features_from_sorted_flows(
 ) -> HostFeatures:
     """Feature bundle from flows already sorted by start time.
 
-    This is the reference per-host extraction kernel: the parallel
-    engine's vectorized shard kernel
-    (:mod:`repro.flows.parallel`) is pinned bit-identical to it by the
-    equivalence test suite.  Callers must pass start-ordered flows.
+    This is the reference per-host extraction kernel: the vectorized
+    shard kernel (:func:`repro.flows.store.group_by_host`) is pinned
+    bit-identical to it by the equivalence test suite.  Callers must
+    pass start-ordered flows.
     """
     return HostFeatures(
         host=host,
@@ -261,8 +294,108 @@ def features_from_sorted_flows(
 def extract_all_features(
     store: FlowStore, grace_period: float = NEW_IP_GRACE_PERIOD
 ) -> Dict[str, HostFeatures]:
-    """Feature bundles for every initiating host in the store."""
+    """Feature bundles for every initiating host in the store.
+
+    The per-host reference path, kept as the oracle that
+    :func:`extract_features_sharded` is tested against.
+    """
     return {
         host: extract_features(store, host, grace_period)
         for host in store.initiators
     }
+
+
+def plan_shards(
+    flow_counts: Mapping[str, int], n_shards: int
+) -> List[Tuple[str, ...]]:
+    """Partition hosts into ``n_shards`` shards balanced by flow count.
+
+    Longest-processing-time greedy: hosts are placed heaviest-first onto
+    the least-loaded shard, so a handful of busy hosts cannot dominate
+    one shard the way a host-count split would.  Deterministic — ties
+    break on host name and shard index — and empty shards are dropped.
+    """
+    if n_shards <= 0:
+        raise ValueError("n_shards must be positive")
+    buckets: List[List[str]] = [[] for _ in range(n_shards)]
+    heap = [(0, index) for index in range(n_shards)]
+    heapq.heapify(heap)
+    ordered = sorted(flow_counts, key=lambda h: (-flow_counts[h], h))
+    for host in ordered:
+        load, index = heapq.heappop(heap)
+        buckets[index].append(host)
+        heapq.heappush(heap, (load + flow_counts[host], index))
+    return [tuple(sorted(bucket)) for bucket in buckets if bucket]
+
+
+def shard_count(rows: int, max_gather_rows: Optional[int]) -> int:
+    """Shards for extracting ``rows`` rows under a gather budget.
+
+    :data:`SHARDS` without a budget; with one, enough shards that a
+    balanced shard holds about a quarter of the budget
+    (``ceil(SHARDS · rows / max_gather_rows)``), so one gather per
+    shard stays under it unless a single host is larger.
+    """
+    if max_gather_rows is None:
+        return SHARDS
+    return max(SHARDS, math.ceil(SHARDS * rows / max_gather_rows))
+
+
+def assemble_features(columns: ShardColumns) -> Dict[str, HostFeatures]:
+    """:class:`HostFeatures` from one shard's columnar kernel results.
+
+    The divisions happen here, on Python ints, exactly as the reference
+    kernel computes them.
+    """
+    gap_values = columns.gaps.tolist()
+    gap_offsets = columns.gap_offsets.tolist()
+    out: Dict[str, HostFeatures] = {}
+    for i, host in enumerate(columns.hosts):
+        flow_count = int(columns.flow_counts[i])
+        successful = int(columns.success_counts[i])
+        dests = int(columns.dest_counts[i])
+        out[host] = HostFeatures(
+            host=host,
+            flow_count=flow_count,
+            successful_flow_count=successful,
+            avg_flow_size=int(columns.byte_sums[i]) / flow_count,
+            failed_conn_rate=(flow_count - successful) / flow_count,
+            new_ip_fraction=int(columns.new_counts[i]) / dests,
+            distinct_destinations=dests,
+            interstitials=tuple(gap_values[gap_offsets[i] : gap_offsets[i + 1]]),
+        )
+    return out
+
+
+def extract_features_sharded(
+    store: FlowStore,
+    hosts: Optional[Iterable[str]] = None,
+    grace_period: float = NEW_IP_GRACE_PERIOD,
+) -> Dict[str, HostFeatures]:
+    """Feature bundles for ``hosts`` (default: every initiator).
+
+    Works on a :class:`FlowStore` and a :class:`repro.storage.StoreView`
+    alike: both answer ``flow_counts()``, ``shard_columns()`` and
+    ``max_gather_rows``.  Hosts are planned into :func:`shard_count`
+    shards balanced by flow count, and each shard's rows are gathered
+    and grouped once, so a store-backed run holds one shard's rows at a
+    time.  Hosts without any initiated flow are omitted, and the result
+    equals :func:`extract_all_features` restricted to ``hosts`` bit for
+    bit.
+    """
+    counts_all = store.flow_counts()
+    if hosts is None:
+        wanted = counts_all
+    else:
+        wanted = {h: counts_all[h] for h in hosts if h in counts_all}
+    if not wanted:
+        return {}
+    n_shards = shard_count(sum(wanted.values()), store.max_gather_rows)
+    _HOSTS_GAUGE.set(len(wanted))
+    features: Dict[str, HostFeatures] = {}
+    for shard in plan_shards(wanted, min(n_shards, len(wanted))):
+        t0 = time.perf_counter()
+        features.update(assemble_features(store.shard_columns(shard, grace_period)))
+        _SHARDS_TOTAL.inc()
+        _SHARD_SECONDS.observe(time.perf_counter() - t0)
+    return features

@@ -17,9 +17,9 @@ One import point for the three concerns:
   crash-safe lifecycle behind the CLIs' shared telemetry flags.
 
 Metrics are also *cross-process*: the registry is delta-serializable,
-and pool workers ship their deltas home with each shard result (see
-:mod:`repro.flows.parallel`), so parallel runs report the same totals
-as sequential ones.
+and the serve plane's detection workers ship their deltas home with
+every reply (see :mod:`repro.serve.worker`), so the coordinator's
+registry holds the whole service's totals.
 
 Everything is off by default and costs one boolean check per
 instrumented site; a typical opt-in looks like::
@@ -72,7 +72,6 @@ from .tracing import (
     clear_sinks,
     current_span,
     remove_sink,
-    replay_span_records,
     span,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "add_sink",
     "remove_sink",
     "clear_sinks",
-    "replay_span_records",
     # export
     "JsonlSink",
     "InMemorySink",

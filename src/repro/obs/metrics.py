@@ -28,13 +28,11 @@ All mutations are thread-safe (one lock per instrument).  Metrics are
 picklable containers, :meth:`MetricsRegistry.delta_since` subtracts a
 baseline snapshot from the current values, and
 :meth:`MetricsRegistry.merge_delta` folds such a delta into another
-process's registry.  The multi-process extraction engine
-(:mod:`repro.flows.parallel`) uses exactly this loop: each worker
-snapshots its registry at shard start, ships the delta back with the
-shard payload, and the parent merges — so worker-side counters
-(``repro_storage_*``, kernel histograms) survive the pool instead of
-dying with it, and a merged parallel run's counter totals are
-bit-equal to a sequential run's.
+process's registry.  The serve plane's detection workers
+(:mod:`repro.serve.worker`) use exactly this loop: each worker ships
+the delta since its previous message with every reply, and the
+coordinator merges — so worker-side counters survive in the
+coordinator's registry instead of dying with the worker process.
 
 The module-level :func:`counter` / :func:`gauge` / :func:`histogram`
 helpers create instruments in the default registry, which

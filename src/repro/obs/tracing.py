@@ -56,7 +56,6 @@ __all__ = [
     "add_sink",
     "remove_sink",
     "clear_sinks",
-    "replay_span_records",
 ]
 
 _STACK: contextvars.ContextVar[Tuple["Span", ...]] = contextvars.ContextVar(
@@ -166,28 +165,6 @@ def remove_sink(sink: object) -> None:
 def clear_sinks() -> None:
     """Unregister every sink."""
     del _SINKS[:]
-
-
-def replay_span_records(records) -> None:
-    """Deliver already-finished span dicts to this process's sinks.
-
-    The cross-process merge path: a pool worker collects its finished
-    spans in an :class:`~repro.obs.export.InMemorySink` and ships the
-    dicts home with its metrics delta; the parent replays them here so
-    JSONL traces include worker-side spans.  Replay is *sink-only* —
-    the worker already observed each span into its own
-    ``repro_span_seconds`` histogram, which arrives via the metrics
-    delta, so re-observing here would double-count.  Sinks must not
-    raise; one that does is logged and skipped, as in live emission.
-    """
-    for record in records:
-        for sink in list(_SINKS):
-            try:
-                sink.on_span(record)
-            except Exception:  # telemetry must never break detection
-                logging.getLogger("repro.obs").warning(
-                    "span sink %r failed on replay", sink, exc_info=True
-                )
 
 
 def _emit(finished: Span) -> None:

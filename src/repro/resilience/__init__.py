@@ -12,10 +12,9 @@ pipeline threads through:
   retry/give-up counters.
 * **Stage supervision** (:mod:`repro.resilience.guard`) —
   :class:`StageGuard` runs each stage down a declared fallback ladder
-  (parallel extraction → warm pool restart → in-process sequential;
-  vectorized θ_hm backends → ``loop``; checkpointing → none) and
-  records every step as a :class:`Degradation` on the log, metrics,
-  and span channels at once.
+  for environmental faults (``store_dir`` spool → in-memory extraction;
+  verdict log and window spool → off) and records every step as a
+  :class:`Degradation` on the log, metrics, and span channels at once.
 * **Crash-safe writes** (:mod:`repro.resilience.io`) —
   write-temp / fsync / atomic-rename helpers behind every durable
   artifact.
@@ -30,7 +29,7 @@ degradation ladder.
 
 from . import faults
 from .breaker import CircuitBreaker
-from .guard import Degradation, StageGuard, hm_backend_ladder
+from .guard import Degradation, StageGuard
 from .io import (
     atomic_write,
     atomic_write_bytes,
@@ -45,7 +44,6 @@ __all__ = [
     "CircuitBreaker",
     "Degradation",
     "StageGuard",
-    "hm_backend_ladder",
     "atomic_write",
     "atomic_write_bytes",
     "atomic_write_text",

@@ -4,25 +4,13 @@ Every deliberate failure the test suite and the CI chaos-smoke job can
 inject lives here, behind one environment-variable namespace
 (``REPRO_FAULT_*``) and one programmatic entry point
 (:func:`injected`).  Production code never *sets* these knobs; it only
-calls the tiny check helpers (:func:`extract_fail`,
-:func:`parse_corruptor`, :func:`stage_call`, :func:`io_point`) at the
+calls the tiny check helpers (:func:`parse_corruptor`,
+:func:`stage_call`, :func:`io_point`, the ``serve_*`` claims) at the
 points where real-world faults would strike, so chaos tests exercise
 the exact degradation paths an operator would hit.
 
 Environment knobs (all unset by default — zero injected faults):
 
-``REPRO_FAULT_EXTRACT_FAIL_SHARDS``
-    Comma-separated shard indices that raise inside the extraction
-    worker on every attempt.  (Alias: ``REPRO_EXTRACT_FAIL_SHARDS``.)
-``REPRO_FAULT_EXTRACT_SHARD_DELAY``
-    Seconds each extraction shard sleeps before computing, so
-    kill-and-resume tests can interrupt a run deterministically.
-    (Alias: ``REPRO_EXTRACT_SHARD_DELAY``.)
-``REPRO_FAULT_EXTRACT_KILL_ONCE``
-    Path to a sentinel file.  The first extraction worker to claim the
-    sentinel (atomically, by deleting it) hard-exits its process —
-    simulating an OOM-kill that breaks the whole pool.  Exactly one
-    kill per sentinel, so retried waves then succeed.
 ``REPRO_FAULT_PARSE_CORRUPT_RATE``
     Probability in [0, 1] that a CSV row read by
     :func:`repro.flows.argus.read_flows` is mangled before parsing.
@@ -35,14 +23,9 @@ Environment knobs (all unset by default — zero injected faults):
     declared fallback retrying the stage succeeds — failures are
     one-shot per N.
 ``REPRO_FAULT_IO_ERRORS``
-    Comma-separated I/O tags (``checkpoint``, ``manifest``,
-    ``dead-letter``, ``verdict-log``, ``segment``, ``store-manifest``,
+    Comma-separated I/O tags (``dead-letter``, ``verdict-log``,
+    ``verdict-db``, ``query-index``, ``segment``, ``store-manifest``,
     ``store-read``) whose I/O raises ``OSError``.
-``REPRO_FAULT_EMD_PRUNE_FAIL``
-    Any truthy value makes every build of the θ_hm candidate-pruning
-    index (:mod:`repro.stats.emdindex`) raise :class:`InjectedFault`,
-    so chaos tests exercise the ``pruned`` → ``parallel`` rung of the
-    θ_hm backend ladder.
 ``REPRO_FAULT_IO_DELAY``
     Seconds of added latency at every tagged I/O point.
 ``REPRO_FAULT_SERVE_WORKER_EXIT_ONCE``
@@ -67,10 +50,6 @@ Environment knobs (all unset by default — zero injected faults):
     warm standby takes the lease over while the old primary is still
     alive — the split-brain drill.  The stalled primary must detect
     the fencing epoch moved on and step down.  One stall per sentinel.
-
-The old ``REPRO_EXTRACT_*`` names from the first parallel-extraction
-release keep working as documented aliases; the ``REPRO_FAULT_*`` name
-wins when both are set.
 """
 
 from __future__ import annotations
@@ -83,10 +62,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "InjectedFault",
-    "extract_fail_shards",
-    "extract_shard_delay",
-    "extract_fail",
-    "extract_kill_once",
     "serve_worker_exit_once",
     "serve_coord_exit_once",
     "serve_lease_stall",
@@ -95,25 +70,8 @@ __all__ = [
     "stage_call",
     "reset_stage_calls",
     "io_point",
-    "prune_point",
     "injected",
 ]
-
-#: (canonical name, legacy alias or None) for every knob.
-_ALIASES: Mapping[str, Optional[str]] = {
-    "REPRO_FAULT_EXTRACT_FAIL_SHARDS": "REPRO_EXTRACT_FAIL_SHARDS",
-    "REPRO_FAULT_EXTRACT_SHARD_DELAY": "REPRO_EXTRACT_SHARD_DELAY",
-    "REPRO_FAULT_EXTRACT_KILL_ONCE": None,
-    "REPRO_FAULT_PARSE_CORRUPT_RATE": None,
-    "REPRO_FAULT_PARSE_SEED": None,
-    "REPRO_FAULT_STAGE_FAIL": None,
-    "REPRO_FAULT_IO_ERRORS": None,
-    "REPRO_FAULT_IO_DELAY": None,
-    "REPRO_FAULT_EMD_PRUNE_FAIL": None,
-    "REPRO_FAULT_SERVE_WORKER_EXIT_ONCE": None,
-    "REPRO_FAULT_SERVE_COORD_EXIT_ONCE": None,
-    "REPRO_FAULT_SERVE_LEASE_STALL": None,
-}
 
 
 class InjectedFault(RuntimeError):
@@ -121,66 +79,20 @@ class InjectedFault(RuntimeError):
 
 
 def _get(name: str) -> Optional[str]:
-    """The knob's value, honouring the legacy alias."""
-    value = os.environ.get(name)
-    if value:
-        return value
-    alias = _ALIASES.get(name)
-    if alias:
-        value = os.environ.get(alias)
-        if value:
-            return value
-    return None
+    """The knob's value, or ``None`` when unset or empty."""
+    return os.environ.get(name) or None
 
 
 # ----------------------------------------------------------------------
-# Extraction faults (read in the worker process)
+# Serve-process faults
 # ----------------------------------------------------------------------
-def extract_fail_shards() -> frozenset:
-    """Shard indices configured to fail, as a frozen set of ints."""
-    raw = _get("REPRO_FAULT_EXTRACT_FAIL_SHARDS")
-    if not raw:
-        return frozenset()
-    return frozenset(int(part) for part in raw.split(",") if part.strip())
-
-
-def extract_shard_delay() -> float:
-    """Per-shard injected latency in seconds (0.0 = none)."""
-    raw = _get("REPRO_FAULT_EXTRACT_SHARD_DELAY")
-    return float(raw) if raw else 0.0
-
-
-def extract_fail(index: int) -> None:
-    """Raise :class:`InjectedFault` if shard ``index`` is marked to fail."""
-    if index in extract_fail_shards():
-        raise InjectedFault(f"injected fault in shard {index}")
-
-
-def extract_kill_once() -> None:
-    """Hard-exit this process if the kill-once sentinel can be claimed.
+def serve_worker_exit_once() -> None:
+    """Hard-exit this serve worker if the exit-once sentinel is claimable.
 
     The sentinel file is deleted *before* exiting, so among racing
     workers exactly one dies — the others find the sentinel gone.
     ``os._exit`` (not ``sys.exit``) models a SIGKILL/OOM death: no
-    cleanup handlers run and the pool sees a broken worker.
-    """
-    sentinel = _get("REPRO_FAULT_EXTRACT_KILL_ONCE")
-    if not sentinel:
-        return
-    try:
-        os.remove(sentinel)
-    except OSError:
-        return  # already claimed (or never created): nobody else dies
-    os._exit(1)
-
-
-def serve_worker_exit_once() -> None:
-    """Hard-exit this serve worker if the exit-once sentinel is claimable.
-
-    Same claim protocol as :func:`extract_kill_once` (delete the
-    sentinel, then ``os._exit``), but on a separate knob so a chaos run
-    can kill a resident detection worker without also killing the
-    extraction pool the coordinator may be driving at the same moment.
+    cleanup handlers run and the coordinator sees a dead worker.
     """
     sentinel = _get("REPRO_FAULT_SERVE_WORKER_EXIT_ONCE")
     if not sentinel:
@@ -340,36 +252,14 @@ def io_point(tag: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# θ_hm pruning-index faults
-# ----------------------------------------------------------------------
-def prune_point() -> None:
-    """Raise :class:`InjectedFault` if the pruning index is marked to fail.
-
-    Called at the top of every candidate-pruning index build
-    (:mod:`repro.stats.emdindex`), before any bound is computed — the
-    place a real-world pathology (a degenerate embedding grid, an
-    adversarial population) would surface.  The failure propagates out
-    of the pruned θ_hm backend so the StageGuard ladder steps down to
-    ``parallel``; it is *not* absorbed by the index's own
-    certification fallback, which only handles declared conditions.
-    """
-    if _get("REPRO_FAULT_EMD_PRUNE_FAIL"):
-        raise InjectedFault("injected fault in the EMD pruning index")
-
-
-# ----------------------------------------------------------------------
 # Programmatic installation
 # ----------------------------------------------------------------------
 _KNOB_FOR_KWARG: Mapping[str, str] = {
-    "extract_fail_shards": "REPRO_FAULT_EXTRACT_FAIL_SHARDS",
-    "extract_shard_delay": "REPRO_FAULT_EXTRACT_SHARD_DELAY",
-    "extract_kill_once": "REPRO_FAULT_EXTRACT_KILL_ONCE",
     "parse_corrupt_rate": "REPRO_FAULT_PARSE_CORRUPT_RATE",
     "parse_seed": "REPRO_FAULT_PARSE_SEED",
     "stage_fail": "REPRO_FAULT_STAGE_FAIL",
     "io_errors": "REPRO_FAULT_IO_ERRORS",
     "io_delay": "REPRO_FAULT_IO_DELAY",
-    "emd_prune_fail": "REPRO_FAULT_EMD_PRUNE_FAIL",
     "serve_worker_exit_once": "REPRO_FAULT_SERVE_WORKER_EXIT_ONCE",
     "serve_coord_exit_once": "REPRO_FAULT_SERVE_COORD_EXIT_ONCE",
     "serve_lease_stall": "REPRO_FAULT_SERVE_LEASE_STALL",
@@ -388,12 +278,11 @@ def _encode(value: object) -> str:
 def injected(**knobs: object):
     """Install faults for the duration of a ``with`` block.
 
-    Keyword names mirror the env knobs (``extract_fail_shards=[1, 3]``,
-    ``parse_corrupt_rate=0.01``, ``stage_fail={"theta_hm": 1}``,
-    ``io_errors=["checkpoint"]``, …).  Values are written to the
-    canonical ``REPRO_FAULT_*`` environment variables — the environment
-    is the one channel that reaches forked *and* spawned worker
-    processes alike — and restored on exit.  Stage-call counters are
+    Keyword names mirror the env knobs (``parse_corrupt_rate=0.01``,
+    ``stage_fail={"extract_features": 1}``, ``io_errors=["store-read"]``,
+    …).  Values are written to the ``REPRO_FAULT_*`` environment
+    variables — the environment is the one channel that reaches forked
+    *and* spawned worker processes alike — and restored on exit.  Stage-call counters are
     reset on entry and exit so every block starts from call zero.
     """
     unknown = set(knobs) - set(_KNOB_FOR_KWARG)

@@ -1,26 +1,21 @@
 """Stage supervision with declared, loudly-reported degradation.
 
-A long detection run should survive the failure of an *optimisation* —
-a crashed worker pool, a vectorized kernel hitting a pathological
-input, a checkpoint directory going read-only — by stepping down to a
-slower-but-equivalent mode, never by silently producing different
-results and never by dying.  :class:`StageGuard` encodes that policy:
-each guarded stage declares an ordered ladder of modes, the guard runs
-them first-to-last, and every step down is recorded as a
-:class:`Degradation` and emitted three ways at once (a WARNING log
-line, the ``repro_stage_degradations_total`` counter, and a structured
-``degradation`` span event for JSONL sinks) so a fallback can never
-pass unnoticed.
+A long detection run should survive an *environmental* fault — a spool
+directory that cannot be written, a torn segment, a verdict log on a
+full disk — by stepping down to a mode that does not need the failed
+resource, never by silently producing different results and never by
+dying.  A failing computation is a bug to surface, not to degrade
+around, so no ladder steps between implementations of one computation.
+:class:`StageGuard` encodes that policy: each guarded stage declares an
+ordered ladder of modes, the guard runs them first-to-last, and every
+step down is recorded as a :class:`Degradation` and emitted three ways
+at once (a WARNING log line, the ``repro_stage_degradations_total``
+counter, and a structured ``degradation`` span event for JSONL sinks)
+so a fallback can never pass unnoticed.
 
 With ``enabled=False`` (the ``--no-degrade`` CLI flag) the guard is a
 transparent pass-through: the first failure propagates, which is what
 you want under a debugger or in a correctness bisect.
-
-The θ_hm backend ladder used by both the batch pipeline and the online
-detector lives here too (:func:`hm_backend_ladder`): ``pruned`` steps
-down through ``parallel`` and ``vectorized`` to ``loop``; ``auto`` and
-``vectorized`` step straight to ``loop`` — the backend of last resort
-with no pruning index, no pool and no numpy broadcasting to fail.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from ..obs.logconf import get_logger
 from ..obs.tracing import span
 from . import faults
 
-__all__ = ["Degradation", "StageGuard", "hm_backend_ladder"]
+__all__ = ["Degradation", "StageGuard"]
 
 T = TypeVar("T")
 
@@ -44,24 +39,6 @@ _DEGRADATIONS = obs_metrics.counter(
     "Stage fallbacks applied by StageGuard",
     labels=("stage", "to_mode"),
 )
-
-#: θ_hm pairwise-EMD backend step-downs (every backend yields the same
-#: clustering result, so stepping down changes speed, never suspects).
-_HM_STEP_DOWN: Dict[str, str] = {
-    "pruned": "parallel",
-    "parallel": "vectorized",
-    "vectorized": "loop",
-    "auto": "loop",
-}
-
-
-def hm_backend_ladder(backend: str) -> Tuple[str, ...]:
-    """The configured backend followed by its fallbacks, best first."""
-    ladder = [backend]
-    while backend in _HM_STEP_DOWN:
-        backend = _HM_STEP_DOWN[backend]
-        ladder.append(backend)
-    return tuple(ladder)
 
 
 @dataclass(frozen=True)
@@ -105,10 +82,9 @@ class StageGuard:
     def note(self, stage: str, from_mode: str, to_mode: str, error: str) -> None:
         """Record one degradation and report it on every channel.
 
-        Also the callback hook for components that degrade internally
-        (e.g. the parallel extractor disabling a failing checkpoint
-        directory) — they report here so the run summary stays
-        complete.
+        Also the callback hook for components that degrade outside a
+        ladder (e.g. the online detector dropping a failing verdict
+        log) — they report here so the run summary stays complete.
         """
         event = Degradation(
             stage=stage, from_mode=from_mode, to_mode=to_mode, error=error

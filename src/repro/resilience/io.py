@@ -1,9 +1,9 @@
 """Crash-safe file writes: temp file in place, fsync, atomic rename.
 
-A checkpoint or trace that a crashed writer leaves half-written is
-worse than none at all — resume logic must then *detect* the tear
-instead of trusting the file.  Every durable artifact in the pipeline
-(traces, shard checkpoints, run manifests) goes through
+A segment or trace that a crashed writer leaves half-written is
+worse than none at all — readers must then *detect* the tear instead
+of trusting the file.  Every durable artifact in the pipeline
+(traces, segments, store manifests, traffic indexes) goes through
 :func:`atomic_write`, which guarantees a reader observes either the
 complete old content or the complete new content, never a mixture:
 

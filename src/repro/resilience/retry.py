@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 from ..obs import metrics as obs_metrics
 from ..obs.logconf import get_logger
 
-__all__ = ["RetryError", "RetryPolicy", "Attempt", "record_attempt"]
+__all__ = ["RetryError", "RetryPolicy", "Attempt"]
 
 T = TypeVar("T")
 
@@ -55,21 +55,6 @@ _GIVEUPS = obs_metrics.counter(
     "Retry policies that exhausted every attempt",
     labels=("name",),
 )
-
-
-def record_attempt(name: str, outcome: str) -> None:
-    """Count one attempt at a call site that runs its own retry loop.
-
-    Engines that cannot route work through :meth:`RetryPolicy.call` —
-    the pooled extraction waves retry whole batches against a fresh
-    executor — use this to emit the exact ``repro_retry_attempts_total``
-    (and, for ``outcome="giveup"``, ``repro_retry_giveups_total``)
-    series the policy would, keeping attempt telemetry uniform across
-    sequential and pooled execution.
-    """
-    _ATTEMPTS.inc(name=name, outcome=outcome)
-    if outcome == "giveup":
-        _GIVEUPS.inc(name=name)
 
 
 def _default_retryable(exc: BaseException) -> bool:

@@ -17,8 +17,9 @@ outbox (worker → coordinator), one shape for every message:
     ``(kind, shard, incarnation, seq, payload, finals, delta)`` where
     ``finals`` is the list of finalised-window verdicts not yet
     shipped and ``delta`` is the worker registry's metric delta since
-    the previous ship (:meth:`~repro.obs.metrics.MetricsRegistry.delta_since`)
-    — the same delta channel the parallel extraction pool uses.
+    the previous ship (:meth:`~repro.obs.metrics.MetricsRegistry.delta_since`),
+    which the coordinator folds in with
+    :meth:`~repro.obs.metrics.MetricsRegistry.merge_delta`.
 
 Workers are intentionally stateless beyond the current window: the
 coordinator owns the per-shard spool, so a killed worker's replacement
@@ -33,6 +34,7 @@ feed the detector byte-for-byte the same records.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from queue import Empty
 from typing import List, Optional, Tuple
@@ -163,7 +165,10 @@ def worker_main(
     # (hanging anything that waits for their EOF).  A reparented
     # worker's state is unreachable anyway — the promoted standby
     # spawns fresh workers over the same spool — so exit quietly.
-    parent = os.getppid()
+    # The coordinator's pid is the one recorded when it spawned us, not
+    # os.getppid() read here: a coordinator killed while this process
+    # was still importing has already been replaced by the reaper.
+    parent = multiprocessing.parent_process().pid
     while True:
         try:
             message = inbox.get(timeout=1.0)

@@ -83,9 +83,6 @@ VECTORIZED_MIN_HOSTS = 4
 PARALLEL_MIN_HOSTS = 1500
 PRUNED_MIN_HOSTS = 4000
 
-# Backwards-compatible private alias (pre-pruning releases named it so).
-_PARALLEL_MIN_HOSTS = PARALLEL_MIN_HOSTS
-
 #: Target float64 elements per vectorized block.  Chosen so one block's
 #: working set (~6 arrays of this size) stays cache-resident: larger
 #: blocks go memory-bound and were measured 3-4x slower at 500 hosts.

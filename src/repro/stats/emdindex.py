@@ -58,7 +58,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..resilience import faults
 from .clustering import Merge, average_linkage, cut_top_links
 from .histogram import Histogram
 
@@ -266,13 +265,10 @@ def build_index(
 
     Cost: O(n · bins · cells) for the embeddings plus O(n · pivots)
     exact kernel pairs — linear in hosts, amortised by the quadratic
-    work it prunes.  The :func:`repro.resilience.faults.prune_point`
-    fault hook fires here (tag ``REPRO_FAULT_EMD_PRUNE_FAIL``) so
-    chaos tests exercise the pruned → parallel ladder rung.
+    work it prunes.
     """
     from .emd import condensed_for_pairs
 
-    faults.prune_point()
     grid = _embedding_grid(histograms, cells)
     embeddings = _cdf_cell_integrals(histograms, grid)
     pivots = _choose_pivots(embeddings, n_pivots)
@@ -309,7 +305,6 @@ def pruned_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
     matrix = np.zeros((n, n), dtype=float)
     if n < 2:
         return matrix
-    faults.prune_point()
     starts, ends, means = _support_arrays(histograms)
 
     # Every entry provisionally takes the closed form; overlapping
@@ -661,7 +656,6 @@ def pruned_partition(
     decomposition certifies, and falling back to the exact path when it
     does not.  The returned :class:`PruneReport` says which happened.
     """
-    faults.prune_point()
     n = len(histograms)
     pairs_total = n * (n - 1) // 2
     links_total = max(0, n - 1)

@@ -18,7 +18,7 @@ Layers, bottom up:
 * :mod:`~repro.storage.store` — :class:`SegmentStore`, the
   manifest-backed catalog with zone-map pruned gathers and compaction;
 * :mod:`~repro.storage.view` — :class:`StoreView`, the
-  FlowStore-shaped facade the pipeline and extraction engines consume;
+  FlowStore-shaped facade the pipeline and the feature extractor consume;
 * :mod:`~repro.storage.spool` — :func:`spool_flow_store`, spilling an
   in-memory store to segments.
 
@@ -43,7 +43,7 @@ from .format import (
 )
 from .spool import fresh_store, spool_flow_store
 from .store import MANIFEST_NAME, Gathered, SegmentStore
-from .view import PARALLEL_SPEC_TAG, StoreView
+from .view import StoreView
 from .writer import DEFAULT_SEGMENT_BYTES, DEFAULT_SEGMENT_ROWS, SegmentWriter
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "MANIFEST_NAME",
     "DEFAULT_SEGMENT_BYTES",
     "DEFAULT_SEGMENT_ROWS",
-    "PARALLEL_SPEC_TAG",
     "Segment",
     "SegmentMeta",
     "Gathered",

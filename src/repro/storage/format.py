@@ -22,7 +22,7 @@ exactly the columns a kernel needs:
     └──────────────────────────────────────────────────────────────┘
 
 The columns are the exact inputs of the feature kernels
-(:func:`repro.flows.parallel._columns_core`); addresses are factorised
+(:func:`repro.flows.store.group_by_host`); addresses are factorised
 into dense per-segment integer codes with the string tables in the
 footer, so a reader touches no Python objects until it decides to.
 

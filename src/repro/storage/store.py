@@ -544,7 +544,7 @@ class SegmentStore:
         exists so the benchmark can measure what pruning buys.
         ``max_rows`` is a hard materialisation budget: a gather that
         would exceed it raises :class:`StorageBudgetError` *before*
-        concatenating, which the pipeline's degradation ladder catches.
+        concatenating.
         """
         faults.io_point("store-read")
         _GATHERS.inc()

@@ -3,24 +3,21 @@
 :class:`StoreView` is how the rest of the pipeline consumes a
 :class:`~repro.storage.store.SegmentStore` without knowing it exists:
 it answers the store-protocol queries the detection stages and the
-extraction engines actually use — ``initiators``, ``flow_counts()``,
-``columnar()``, ``flows_from()``, ``version``, ``between()`` — by
-gathering from segments on demand.  Every answer is bit-identical to
+feature extractor actually use — ``initiators``, ``flow_counts()``,
+``shard_columns()``, ``columnar()``, ``flows_from()``, ``version``,
+``between()`` — by gathering from segments on demand.  Every answer is bit-identical to
 the same query against an in-memory :class:`FlowStore` holding the
 same rows (the equivalence suite pins this property under Hypothesis).
 
-Two things distinguish it from the in-memory plane:
-
-* **A materialisation budget.**  ``max_gather_rows`` bounds the rows
-  any single gather may bring into memory; exceeding it raises
-  :class:`~repro.storage.format.StorageBudgetError` instead of
-  silently defeating the point of out-of-core storage.  Sharded
-  extraction gathers per shard, so the budget is per-shard, not
-  per-trace — that is what lets a trace larger than RAM run.
-* **A shipping address.**  :attr:`parallel_spec` describes the view as
-  a small picklable tuple; :mod:`repro.flows.parallel` ships it to
-  workers (fork *or* spawn), which re-open the store and memory-map
-  segments independently — no snapshot copy travels to any worker.
+What distinguishes it from the in-memory plane is **a materialisation
+budget**: ``max_gather_rows`` bounds the rows any single gather may
+bring into memory; exceeding it raises
+:class:`~repro.storage.format.StorageBudgetError` instead of silently
+defeating the point of out-of-core storage.  Feature extraction
+(:func:`repro.flows.metrics.extract_features_sharded`) gathers per
+shard and sizes its shard count from the budget, so the budget is
+per-shard, not per-trace — that is what lets a trace larger than RAM
+run.
 
 Time-restricted views (:meth:`between`) carry the window into every
 gather, so zone-map pruning applies to replayed windows exactly as to
@@ -33,18 +30,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..flows.parallel import _columns_core, _ShardColumns
 from ..flows.record import FlowRecord, FlowState, Protocol
-from ..flows.store import ColumnarFlows
+from ..flows.store import ColumnarFlows, ShardColumns, group_by_host
 from .format import StorageBudgetError  # noqa: F401  (re-exported for callers)
 from .store import Gathered, SegmentStore
 
-__all__ = ["PARALLEL_SPEC_TAG", "StoreView"]
-
-#: First element of :attr:`StoreView.parallel_spec`; the worker-side
-#: opener refuses specs with any other tag, so an accidental payload
-#: cannot be misread as a store address.
-PARALLEL_SPEC_TAG = "repro-storage"
+__all__ = ["StoreView"]
 
 
 def _recode_first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -61,7 +52,7 @@ def _recode_first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, int]:
 class StoreView:
     """Read-only, optionally time-restricted view over a segment store.
 
-    Feature kernels, the detection stages, and both extraction engines
+    Feature kernels, the detection stages, and the feature extractor
     accept this anywhere they accept a :class:`FlowStore`.
     """
 
@@ -89,7 +80,7 @@ class StoreView:
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """The store's catalog generation — the pool-staleness key."""
+        """The store's catalog generation — the cache-staleness key."""
         return self.store.generation
 
     def flow_counts(self) -> Dict[str, int]:
@@ -163,16 +154,17 @@ class StoreView:
 
     def shard_columns(
         self, hosts: Tuple[str, ...], grace_period: float
-    ) -> _ShardColumns:
+    ) -> ShardColumns:
         """Run the vectorized shard kernel over a per-shard gather.
 
-        This is the store-backed worker kernel: only the shard's rows
-        are materialised (budget-checked), then the exact in-memory
-        group-by kernel (:func:`repro.flows.parallel._columns_core`)
-        runs on them — same kernel, same ordering, same bits.
+        Mirrors :meth:`repro.flows.store.FlowStore.shard_columns`: only
+        the shard's rows are materialised (budget-checked), then the
+        exact in-memory group-by kernel
+        (:func:`repro.flows.store.group_by_host`) runs on them — same
+        kernel, same ordering, same bits.
         """
         gathered = self.gather(hosts)
-        return _columns_core(
+        return group_by_host(
             list(gathered.hosts),
             gathered.counts,
             gathered.starts,
@@ -241,46 +233,3 @@ class StoreView:
                 )
             )
         return records
-
-    # ------------------------------------------------------------------
-    # Worker shipping
-    # ------------------------------------------------------------------
-    @property
-    def parallel_spec(self) -> Tuple[object, ...]:
-        """Picklable address of this view for extraction workers.
-
-        ``(tag, directory, generation, t0, t1, max_gather_rows)`` —
-        enough for a worker process to re-open the store (verifying the
-        catalog generation it was planned against) and gather its
-        shards independently via its own memory maps.
-        """
-        return (
-            PARALLEL_SPEC_TAG,
-            str(self.store.directory),
-            self.version,
-            self.t0,
-            self.t1,
-            self.max_gather_rows,
-        )
-
-    @classmethod
-    def from_parallel_spec(cls, spec: Tuple[object, ...]) -> "StoreView":
-        """Re-open the view a :attr:`parallel_spec` describes.
-
-        Raises :class:`~repro.storage.format.StorageError` (via
-        :meth:`SegmentStore.open`) when the store is unreadable, and
-        ``RuntimeError`` when the catalog moved past the generation the
-        shards were planned against — a stale plan must fail loudly,
-        not silently extract different rows.
-        """
-        tag, directory, generation, t0, t1, max_rows = spec
-        if tag != PARALLEL_SPEC_TAG:
-            raise RuntimeError(f"not a storage parallel spec: {spec!r}")
-        store = SegmentStore.open(directory)
-        if store.generation != generation:
-            raise RuntimeError(
-                f"segment store {directory} is at generation "
-                f"{store.generation}, but the extraction plan was built "
-                f"against generation {generation}"
-            )
-        return cls(store, t0=t0, t1=t1, max_gather_rows=max_rows)

@@ -1,11 +1,15 @@
-"""Graceful degradation: stage failures change wall time, never suspects.
+"""Graceful degradation: environmental faults change wall time, never suspects.
 
 Every test injects a fault through :mod:`repro.resilience.faults`,
-runs the pipeline (batch or online), and asserts the run (a) completes,
-(b) produces exactly the clean run's suspects, and (c) reports the
-degradation — the tentpole contract: no silent fallback, no changed
-verdicts, no dead run.
+runs the pipeline (batch or online), and asserts the run either
+(a) completes with exactly the clean run's suspects and reports the
+degradation — for faults of an environmental resource (the
+``store_dir`` spool, the verdict log) — or (b) raises, for a failing
+computation that has no resource to fall back from.  No silent
+fallback, no changed verdicts.
 """
+
+from unittest.mock import patch
 
 import pytest
 
@@ -27,39 +31,45 @@ class TestBatchPipeline:
         assert clean_result.degradations == ()
         assert not clean_result.degraded
 
-    def test_theta_hm_failure_steps_down_backend(
-        self, overlaid_day, campus_day, clean_result
-    ):
-        with injected(stage_fail={"theta_hm": 1}):
-            result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts
-            )
-        assert result.suspects == clean_result.suspects
-        assert result.degraded
-        (event,) = result.degradations
-        assert event.stage == "theta_hm"
-        assert event.from_mode == "auto"
-        assert event.to_mode == "loop"
-        assert "InjectedFault" in event.error
+    def test_theta_hm_failure_raises(self, overlaid_day, campus_day):
+        # θ_hm has no fallback ladder: a failing backend is a bug to
+        # surface, not to degrade around.
+        with patch(
+            "repro.detection.pipeline.theta_hm", side_effect=RuntimeError("boom")
+        ):
+            with pytest.raises(RuntimeError, match="boom"):
+                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
 
     def test_extraction_failure_falls_back_identically(
-        self, overlaid_day, campus_day, clean_result
+        self, overlaid_day, campus_day, clean_result, tmp_path
     ):
         with injected(stage_fail={"extract_features": 1}):
             result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts
+                overlaid_day.store,
+                hosts=campus_day.all_hosts,
+                config=PipelineConfig(store_dir=str(tmp_path / "spool")),
             )
         assert result.suspects == clean_result.suspects
         assert result.volume.selected_set == clean_result.volume.selected_set
-        assert any(
-            d.stage == "extract_features" for d in result.degradations
-        )
+        (event,) = result.degradations
+        assert event.stage == "extract_features"
+        assert (event.from_mode, event.to_mode) == ("store", "in-memory")
+        assert "InjectedFault" in event.error
 
-    def test_no_degrade_makes_first_failure_fatal(
+    def test_in_memory_extraction_failure_raises(
         self, overlaid_day, campus_day
     ):
-        config = PipelineConfig(degrade=False)
-        with injected(stage_fail={"theta_hm": 1}):
+        # Without store_dir there is no environmental resource to lose,
+        # so the one extraction rung fails the run.
+        with injected(stage_fail={"extract_features": 1}):
+            with pytest.raises(InjectedFault):
+                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
+
+    def test_no_degrade_makes_first_failure_fatal(
+        self, overlaid_day, campus_day, tmp_path
+    ):
+        config = PipelineConfig(store_dir=str(tmp_path / "spool"), degrade=False)
+        with injected(stage_fail={"extract_features": 1}):
             with pytest.raises(InjectedFault):
                 find_plotters(
                     overlaid_day.store,
@@ -67,59 +77,34 @@ class TestBatchPipeline:
                     config=config,
                 )
 
-    def test_checkpoint_io_error_disables_checkpointing(
-        self, overlaid_day, campus_day, clean_result, tmp_path
-    ):
-        config = PipelineConfig(checkpoint_dir=str(tmp_path))
-        with injected(io_errors=["checkpoint"]):
-            result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts, config=config
-            )
-        assert result.suspects == clean_result.suspects
-        assert any(
-            d.stage == "extract_checkpoint"
-            and d.to_mode == "no-checkpoint"
-            for d in result.degradations
-        )
-
-    def test_worker_death_survived_by_pool_restart(
-        self, overlaid_day, campus_day, clean_result, tmp_path
-    ):
-        sentinel = tmp_path / "kill-once"
-        sentinel.touch()
-        config = PipelineConfig(n_workers=2)
-        with injected(extract_kill_once=str(sentinel)):
-            result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts, config=config
-            )
-        assert not sentinel.exists()  # exactly one worker claimed it
-        assert result.suspects == clean_result.suspects
-        assert any(
-            d.stage == "extract_pool" and d.to_mode == "pool-restart"
-            for d in result.degradations
-        )
-
     def test_degradations_counted_in_metrics(
-        self, overlaid_day, campus_day
+        self, overlaid_day, campus_day, tmp_path
     ):
         obs.clear_sinks()
         obs.get_registry().reset()
         obs.enable()
         try:
-            with injected(stage_fail={"theta_hm": 1}):
-                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
+            with injected(io_errors=["store-read"]):
+                find_plotters(
+                    overlaid_day.store,
+                    hosts=campus_day.all_hosts,
+                    config=PipelineConfig(store_dir=str(tmp_path / "spool")),
+                )
             counter = obs.get_registry().counter(
                 "repro_stage_degradations_total",
                 labels=("stage", "to_mode"),
             )
-            assert counter.value(stage="theta_hm", to_mode="loop") == 1.0
+            assert (
+                counter.value(stage="extract_features", to_mode="in-memory")
+                == 1.0
+            )
         finally:
             obs.disable()
             obs.get_registry().reset()
             obs.clear_sinks()
 
     def test_degradation_span_event_reaches_sinks(
-        self, overlaid_day, campus_day
+        self, overlaid_day, campus_day, tmp_path
     ):
         events = []
 
@@ -132,8 +117,12 @@ class TestBatchPipeline:
         obs.enable()
         obs.add_sink(Sink())
         try:
-            with injected(stage_fail={"theta_hm": 1}):
-                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
+            with injected(io_errors=["store-read"]):
+                find_plotters(
+                    overlaid_day.store,
+                    hosts=campus_day.all_hosts,
+                    config=PipelineConfig(store_dir=str(tmp_path / "spool")),
+                )
         finally:
             obs.disable()
             obs.get_registry().reset()
@@ -141,8 +130,8 @@ class TestBatchPipeline:
         degradations = [e for e in events if e.get("name") == "degradation"]
         assert len(degradations) == 1
         attrs = degradations[0]["attrs"]
-        assert attrs["stage"] == "theta_hm"
-        assert attrs["to_mode"] == "loop"
+        assert attrs["stage"] == "extract_features"
+        assert attrs["to_mode"] == "in-memory"
 
 
 class TestOnlineDetector:
@@ -176,16 +165,3 @@ class TestOnlineDetector:
         with injected(io_errors=["verdict-log"]):
             with pytest.raises(OSError):
                 self.run_windows(detector)
-
-    def test_theta_hm_ladder_preserves_verdicts(self, tmp_path):
-        clean = OnlineDetector(HOSTS, window=WINDOW, config=CONFIG)
-        self.run_windows(clean)
-
-        degraded = OnlineDetector(HOSTS, window=WINDOW, config=CONFIG)
-        with injected(stage_fail={"theta_hm": 1}):
-            self.run_windows(degraded)
-        assert any(d.stage == "theta_hm" for d in degraded.degradations)
-        assert len(degraded.history) == len(clean.history)
-        for got, want in zip(degraded.history, clean.history):
-            assert got.suspects == want.suspects
-            assert got.reduced == want.reduced

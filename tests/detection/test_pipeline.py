@@ -37,44 +37,11 @@ class TestPipelineStructure:
         b = find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
         assert a.suspects == b.suspects
 
-    def test_parallel_extraction_changes_nothing(
-        self, overlaid_day, campus_day
-    ):
-        # The worker count is an execution detail: every stage's metric
-        # map, threshold, and selection must be identical.
-        base = find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
-        parallel = find_plotters(
-            overlaid_day.store,
-            hosts=campus_day.all_hosts,
-            config=PipelineConfig(n_workers=2),
-        )
-        for stage in ("reduction", "volume", "churn", "hm"):
-            a, b = getattr(base, stage), getattr(parallel, stage)
-            assert a.metric == b.metric
-            assert a.threshold == b.threshold
-            assert a.selected_set == b.selected_set
-
-    def test_checkpointed_rerun_matches(
-        self, overlaid_day, campus_day, tmp_path
-    ):
-        config = PipelineConfig(checkpoint_dir=str(tmp_path))
-        first = find_plotters(
-            overlaid_day.store, hosts=campus_day.all_hosts, config=config
-        )
-        assert list(tmp_path.glob("shard-*.ckpt"))
-        resumed = find_plotters(
-            overlaid_day.store,
-            hosts=campus_day.all_hosts,
-            config=PipelineConfig(checkpoint_dir=str(tmp_path), resume=True),
-        )
-        assert resumed.suspects == first.suspects
-        assert resumed.hm.metric == first.hm.metric
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PipelineConfig(n_workers=-1)
+            PipelineConfig(hm_backend="bogus")
         with pytest.raises(ValueError):
-            PipelineConfig(resume=True)
+            PipelineConfig(segment_rows=0)
 
 
 class TestEvaluation:

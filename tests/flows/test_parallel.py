@@ -1,32 +1,31 @@
-"""Tests for the host-sharded parallel feature-extraction engine.
+"""Tests for sharded feature extraction.
 
-The load-bearing property is *bit-identical equivalence*: every
-configuration — worker count, shard count, kernel, checkpoint/resume —
-must reproduce :func:`repro.flows.metrics.extract_all_features`
-exactly, because the pipeline's dynamic thresholds are percentile cuts
-over these values and any drift would silently move τ.
+The load-bearing property is *bit-identical equivalence*: the
+production extractor (:func:`repro.flows.metrics.extract_features_sharded`)
+must reproduce the per-host reference path
+(:func:`repro.flows.metrics.extract_all_features`) exactly, over an
+in-memory store and a segment-store view alike, for any host subset,
+shard plan and gather budget — the pipeline's dynamic thresholds are
+percentile cuts over these values and any drift would silently move τ.
 """
 
-import os
-import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flows import FlowRecord, FlowState, FlowStore, Protocol
-from repro.flows.metrics import extract_all_features
-from repro.flows.parallel import (
-    CHECKPOINT_VERSION,
-    ParallelExtractor,
-    ShardExtractionError,
-    _checkpoint_path,
-    _load_checkpoint,
-    extract_features_parallel,
+from repro.flows.metrics import (
+    NEW_IP_GRACE_PERIOD,
+    SHARDS,
+    assemble_features,
+    extract_all_features,
+    extract_features_sharded,
     plan_shards,
-    shard_checkpoint_key,
+    shard_count,
 )
 from repro.obs import metrics as obs_metrics
+from repro.storage import spool_flow_store
 
 
 def flow(src="h", dst="d", start=0.0, src_bytes=100, failed=False):
@@ -95,23 +94,29 @@ class TestPlanShards:
         assert len(plan_shards({"a": 5, "b": 3}, 10)) == 2
 
 
-class TestEquivalence:
-    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-    @pytest.mark.parametrize("n_workers", [0, 1, 2, 3])
-    def test_matches_sequential(self, kernel, n_workers):
-        store = random_store(seed=1)
-        reference = extract_all_features(store)
-        result = extract_features_parallel(store, n_workers=n_workers, kernel=kernel)
-        assert result == reference
+class TestShardCount:
+    def test_without_budget(self):
+        assert shard_count(10**9, None) == SHARDS
 
+    def test_budget_sizes_shards_to_a_quarter_of_it(self):
+        assert shard_count(1000, 250) == 16
+        assert shard_count(1000, 333) == 13
+
+    def test_generous_budget_keeps_the_default(self):
+        assert shard_count(1000, 10**6) == SHARDS
+
+
+class TestEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 7, 40, 200])
     def test_any_shard_count(self, n_shards):
+        # The shard count is free to vary with the budget only because
+        # every plan assembles the same features.
         store = random_store(seed=2)
-        reference = extract_all_features(store)
-        assert (
-            extract_features_parallel(store, n_workers=0, n_shards=n_shards)
-            == reference
-        )
+        features = {}
+        for shard in plan_shards(store.flow_counts(), n_shards):
+            columns = store.shard_columns(shard, NEW_IP_GRACE_PERIOD)
+            features.update(assemble_features(columns))
+        assert features == extract_all_features(store)
 
     def test_host_subset(self):
         store = random_store(seed=3)
@@ -119,35 +124,23 @@ class TestEquivalence:
         reference = {
             h: f for h, f in extract_all_features(store).items() if h in subset
         }
-        assert extract_features_parallel(store, subset, n_workers=2) == reference
+        assert extract_features_sharded(store, subset) == reference
 
     def test_unknown_hosts_ignored(self):
         store = random_store(n_hosts=4, seed=4)
-        result = extract_features_parallel(
-            store, list(store.initiators) + ["absent"], n_workers=0
-        )
+        result = extract_features_sharded(store, list(store.initiators) + ["absent"])
         assert "absent" not in result
         assert result == extract_all_features(store)
 
     def test_empty_store(self):
-        assert extract_features_parallel(FlowStore(), n_workers=2) == {}
+        assert extract_features_sharded(FlowStore()) == {}
 
     def test_engine_reuse_and_store_mutation(self):
         store = random_store(n_hosts=10, seed=5)
-        with ParallelExtractor(store, 2) as engine:
-            assert engine.extract() == extract_all_features(store)
-            store.add(flow(src="10.0.0.0", dst="dX", start=9999.0))
-            # The warm pool must notice the mutation, not serve the
-            # forked workers' stale snapshot.
-            assert engine.extract() == extract_all_features(store)
-
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            extract_features_parallel(FlowStore(), kernel="nope")
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError):
-            extract_features_parallel(FlowStore(), max_retries=-1)
+        assert extract_features_sharded(store) == extract_all_features(store)
+        store.add(flow(src="10.0.0.0", dst="dX", start=9999.0))
+        # The cached columnar snapshot must notice the mutation.
+        assert extract_features_sharded(store) == extract_all_features(store)
 
 
 class TestUnsortedInput:
@@ -165,6 +158,7 @@ class TestUnsortedInput:
             shuffled.add(record)
         ordered = FlowStore(records)
         assert extract_all_features(shuffled) == extract_all_features(ordered)
+        assert extract_features_sharded(shuffled) == extract_all_features(ordered)
         bundle = extract_all_features(shuffled)["h"]
         # First activity is t=0, so only the t=4000/t=5000 contacts of
         # "a" count as new; "a" was first contacted inside the grace
@@ -187,8 +181,14 @@ def flow_batches(draw):
                 flow(
                     src=f"h{h}",
                     dst=draw(st.sampled_from(["x", "y", "z"])),
+                    # Grid starts put flows exactly one grace period
+                    # after a host's first activity: the churn cutoff's
+                    # strict ">" must hold on the tie.
                     start=draw(
-                        st.floats(0, 1e5, allow_nan=False, allow_infinity=False)
+                        st.one_of(
+                            st.floats(0, 1e5, allow_nan=False, allow_infinity=False),
+                            st.integers(0, 12).map(lambda k: k * 900.0),
+                        )
                     ),
                     src_bytes=draw(st.integers(0, 10**6)),
                     failed=all_failed or draw(st.booleans()),
@@ -199,186 +199,41 @@ def flow_batches(draw):
 
 class TestPropertyEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(
-        flows=flow_batches(),
-        n_workers=st.integers(0, 2),
-        n_shards=st.one_of(st.none(), st.integers(1, 9)),
-    )
-    def test_parallel_equals_sequential(self, flows, n_workers, n_shards):
+    @given(flows=flow_batches(), data=st.data())
+    def test_extractor_equals_reference(self, flows, data, tmp_path_factory):
         store = FlowStore(flows)
-        assert (
-            extract_features_parallel(
-                store, n_workers=n_workers, n_shards=n_shards
+        counts = store.flow_counts()
+        hosts = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.sampled_from(sorted(counts) + ["absent"]), unique=True),
             )
-            == extract_all_features(store)
         )
-
-
-class TestCheckpoints:
-    def test_key_depends_on_inputs(self):
-        counts = {"a": 3, "b": 5}
-        base = shard_checkpoint_key(["a", "b"], counts, 3600.0)
-        assert base == shard_checkpoint_key(["b", "a"], counts, 3600.0)
-        assert base != shard_checkpoint_key(["a"], counts, 3600.0)
-        assert base != shard_checkpoint_key(["a", "b"], {"a": 4, "b": 5}, 3600.0)
-        assert base != shard_checkpoint_key(["a", "b"], counts, 60.0)
-
-    def test_write_then_resume(self, tmp_path):
-        store = random_store(seed=6)
-        reference = extract_all_features(store)
-        first = extract_features_parallel(store, n_workers=0, checkpoint_dir=tmp_path)
-        assert first == reference
-        assert (tmp_path / "manifest.json").exists()
-        assert list(tmp_path.glob("shard-*.ckpt"))
-        resumed = extract_features_parallel(
-            store, n_workers=0, checkpoint_dir=tmp_path, resume=True
+        # Any budget a single host fits in: from the largest host's rows
+        # (the most shards) up to the whole trace, or none at all.
+        budget = data.draw(
+            st.one_of(st.none(), st.integers(max(counts.values()), len(store)))
         )
-        assert resumed == reference
-
-    def test_resume_counts_hits(self, tmp_path):
-        store = random_store(n_hosts=12, seed=7)
-        from repro.flows import parallel as par
-
-        extract_features_parallel(store, n_workers=0, checkpoint_dir=tmp_path)
-        obs_metrics.enable()
-        try:
-            before_hit = par._CHECKPOINT.value(result="hit")
-            before_miss = par._CHECKPOINT.value(result="miss")
-            extract_features_parallel(
-                store, n_workers=0, checkpoint_dir=tmp_path, resume=True
-            )
-            assert par._CHECKPOINT.value(result="hit") > before_hit
-            assert par._CHECKPOINT.value(result="miss") == before_miss
-        finally:
-            obs_metrics.disable()
-
-    def test_corrupt_checkpoint_recomputed(self, tmp_path):
-        store = random_store(n_hosts=10, seed=8)
         reference = extract_all_features(store)
-        extract_features_parallel(store, n_workers=0, checkpoint_dir=tmp_path)
-        for path in tmp_path.glob("shard-*.ckpt"):
-            path.write_bytes(b"not a pickle")
-        resumed = extract_features_parallel(
-            store, n_workers=0, checkpoint_dir=tmp_path, resume=True
+        if hosts is not None:
+            reference = {h: f for h, f in reference.items() if h in hosts}
+        view = spool_flow_store(
+            store, tmp_path_factory.mktemp("seg"), max_gather_rows=budget
         )
-        assert resumed == reference
-
-    def test_version_mismatch_ignored(self, tmp_path):
-        key = shard_checkpoint_key(["a"], {"a": 1}, 3600.0)
-        path = _checkpoint_path(tmp_path, key)
-        with open(path, "wb") as fh:
-            pickle.dump(
-                {
-                    "version": CHECKPOINT_VERSION + 1,
-                    "key": key,
-                    "features": {},
-                },
-                fh,
-            )
-        assert _load_checkpoint(path, key) is None
-
-    def test_key_mismatch_ignored(self, tmp_path):
-        key = shard_checkpoint_key(["a"], {"a": 1}, 3600.0)
-        path = _checkpoint_path(tmp_path, key)
-        with open(path, "wb") as fh:
-            pickle.dump(
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "key": "somebody-else",
-                    "features": {},
-                },
-                fh,
-            )
-        assert _load_checkpoint(path, key) is None
-
-    def test_missing_file_ignored(self, tmp_path):
-        assert _load_checkpoint(tmp_path / "absent.ckpt", "k") is None
-
-
-class TestFaultInjection:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXTRACT_FAIL_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_EXTRACT_SHARD_DELAY", raising=False)
-
-    @pytest.mark.parametrize("n_workers", [0, 2])
-    def test_persistent_failure_aborts_with_report(self, monkeypatch, n_workers):
-        monkeypatch.setenv("REPRO_EXTRACT_FAIL_SHARDS", "0")
-        store = random_store(n_hosts=8, seed=9)
-        with pytest.raises(ShardExtractionError) as err:
-            extract_features_parallel(store, n_workers=n_workers, max_retries=1)
-        (failure,) = err.value.failures
-        assert failure.index == 0
-        assert failure.attempts == 2
-        assert "injected fault" in failure.errors[-1]
-        assert "shard 0" in str(err.value)
-
-    def test_kill_and_resume_yields_identical_features(self, monkeypatch, tmp_path):
-        # Simulated kill: shard 2 fails persistently, so the run dies
-        # after checkpointing the shards that completed before it.  The
-        # resumed run must serve those from checkpoints (observed via
-        # the hit counter) and produce exactly the sequential result.
-        store = random_store(n_hosts=20, seed=10)
-        reference = extract_all_features(store)
-        monkeypatch.setenv("REPRO_EXTRACT_FAIL_SHARDS", "2")
-        with pytest.raises(ShardExtractionError):
-            extract_features_parallel(
-                store,
-                n_workers=0,
-                n_shards=4,
-                max_retries=0,
-                checkpoint_dir=tmp_path,
-            )
-        completed = len(list(tmp_path.glob("shard-*.ckpt")))
-        assert completed == 2  # shards 0 and 1 ran before the crash
-        monkeypatch.delenv("REPRO_EXTRACT_FAIL_SHARDS")
-
-        from repro.flows import parallel as par
-
-        obs_metrics.enable()
-        try:
-            before = par._CHECKPOINT.value(result="hit")
-            resumed = extract_features_parallel(
-                store,
-                n_workers=0,
-                n_shards=4,
-                checkpoint_dir=tmp_path,
-                resume=True,
-            )
-            hits = par._CHECKPOINT.value(result="hit") - before
-        finally:
-            obs_metrics.disable()
-        assert hits == completed
-        assert resumed == reference
+        assert extract_features_sharded(store, hosts) == reference
+        assert extract_features_sharded(view, hosts) == reference
 
 
 class TestObservability:
     def test_shard_counters(self):
-        from repro.flows import parallel as par
+        from repro.flows import metrics
 
         store = random_store(n_hosts=10, seed=11)
         obs_metrics.enable()
         try:
-            before = par._SHARDS.value(result="ok")
-            extract_features_parallel(store, n_workers=0, n_shards=3)
-            assert par._SHARDS.value(result="ok") - before == 3
-            assert par._HOSTS_GAUGE.value() == 10
-        finally:
-            obs_metrics.disable()
-
-    def test_retry_counter(self, monkeypatch):
-        from repro.flows import parallel as par
-
-        # Fail shard 0 once-per-attempt is not expressible with the env
-        # knob (it fails every attempt), so count retries on the way to
-        # the abort instead.
-        monkeypatch.setenv("REPRO_EXTRACT_FAIL_SHARDS", "0")
-        store = random_store(n_hosts=6, seed=12)
-        obs_metrics.enable()
-        try:
-            before = par._RETRIES.value()
-            with pytest.raises(ShardExtractionError):
-                extract_features_parallel(store, n_workers=0, max_retries=2)
-            assert par._RETRIES.value() - before == 2
+            before = metrics._SHARDS_TOTAL.value()
+            extract_features_sharded(store)
+            assert metrics._SHARDS_TOTAL.value() - before == SHARDS
+            assert metrics._HOSTS_GAUGE.value() == 10
         finally:
             obs_metrics.disable()

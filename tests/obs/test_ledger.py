@@ -109,7 +109,7 @@ class TestRecording:
 
     def test_pipeline_result_recording(self, tmp_path, clean_obs):
         from repro.detection.pipeline import find_plotters
-        from tests.flows.test_parallel_obs_merge import random_store
+        from tests.flows.test_parallel import random_store
 
         store = random_store(n_hosts=20, seed=2)
         result = find_plotters(store)

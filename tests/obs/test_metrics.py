@@ -108,6 +108,57 @@ class TestRegistry:
             obs.disable()
 
 
+class TestDeltaProtocol:
+    """``delta_since`` / ``merge_delta``: how serve workers ship their
+    telemetry to the coordinator's registry."""
+
+    def test_delta_holds_only_what_changed(self):
+        worker = MetricsRegistry()
+        obs.enable()
+        try:
+            c = worker.counter("t_delta_c", labels=("k",))
+            g = worker.gauge("t_delta_g")
+            h = worker.histogram("t_delta_h")
+            c.inc(2, k="a")
+            g.set(5)
+            baseline = worker.state()
+            c.inc(3, k="a")
+            c.inc(1, k="b")
+            h.observe(0.2)
+            delta = worker.delta_since(baseline)
+        finally:
+            obs.disable()
+        assert delta["t_delta_c"]["series"] == {("a",): 3.0, ("b",): 1.0}
+        assert "t_delta_g" not in delta  # unchanged gauge ships nothing
+        assert delta["t_delta_h"]["series"][()]["count"] == 1
+        assert MetricsRegistry().delta_since(None) == {}
+
+    def test_merged_deltas_add_up_even_while_disabled(self):
+        worker = MetricsRegistry()
+        coordinator = MetricsRegistry()
+        obs.enable()
+        try:
+            c = worker.counter("t_merge_c")
+            g = worker.gauge("t_merge_g")
+            h = worker.histogram("t_merge_h")
+            baseline = None
+            deltas = []
+            for step in range(3):
+                c.inc(step + 1)
+                g.set(step)
+                h.observe(0.1 * step)
+                deltas.append(worker.delta_since(baseline))
+                baseline = worker.state()
+        finally:
+            obs.disable()
+        for delta in deltas:
+            coordinator.merge_delta(delta)
+        assert coordinator.counter("t_merge_c").value() == c.value() == 6.0
+        assert coordinator.gauge("t_merge_g").value() == 2.0
+        merged = coordinator.histogram("t_merge_h").snapshot()
+        assert merged["count"] == h.snapshot()["count"] == 3
+
+
 class TestDisabledMode:
     def test_mutations_are_noops(self, clean_obs):
         c = obs.counter("t_off_counter")

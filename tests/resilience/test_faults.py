@@ -1,15 +1,11 @@
-"""Fault-injection layer: knobs, aliases, determinism, restoration."""
+"""Fault-injection layer: knobs, determinism, restoration."""
 
 import os
 
 import pytest
 
-from repro.resilience import faults
 from repro.resilience.faults import (
     InjectedFault,
-    extract_fail,
-    extract_fail_shards,
-    extract_shard_delay,
     injected,
     io_point,
     parse_corrupt_rate,
@@ -28,24 +24,22 @@ def clean_counters():
 
 class TestDefaults:
     def test_everything_off_by_default(self):
-        assert extract_fail_shards() == frozenset()
-        assert extract_shard_delay() == 0.0
         assert parse_corrupt_rate() == 0.0
         assert parse_corruptor() is None
-        extract_fail(0)  # no-op
         stage_call("anything")  # no-op
-        io_point("checkpoint")  # no-op
+        io_point("store-read")  # no-op
 
 
 class TestInjectedContext:
     def test_sets_and_restores_environment(self):
-        name = "REPRO_FAULT_EXTRACT_FAIL_SHARDS"
+        name = "REPRO_FAULT_IO_ERRORS"
         assert name not in os.environ
-        with injected(extract_fail_shards=[1, 3]):
-            assert os.environ[name] == "1,3"
-            assert extract_fail_shards() == frozenset({1, 3})
+        with injected(io_errors=["segment", "store-read"]):
+            assert os.environ[name] == "segment,store-read"
+            with pytest.raises(OSError):
+                io_point("store-read")
         assert name not in os.environ
-        assert extract_fail_shards() == frozenset()
+        io_point("store-read")  # restored: no-op again
 
     def test_restores_preexisting_value(self, monkeypatch):
         name = "REPRO_FAULT_IO_DELAY"
@@ -63,27 +57,6 @@ class TestInjectedContext:
         with injected(stage_fail={"theta_hm": 2, "extract_features": 1}):
             value = os.environ["REPRO_FAULT_STAGE_FAIL"]
         assert value == "extract_features:1,theta_hm:2"
-
-
-class TestAliases:
-    def test_legacy_extract_env_names_still_work(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXTRACT_FAIL_SHARDS", "2")
-        monkeypatch.setenv("REPRO_EXTRACT_SHARD_DELAY", "0.75")
-        assert extract_fail_shards() == frozenset({2})
-        assert extract_shard_delay() == 0.75
-
-    def test_canonical_name_wins_over_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXTRACT_FAIL_SHARDS", "2")
-        monkeypatch.setenv("REPRO_FAULT_EXTRACT_FAIL_SHARDS", "5")
-        assert extract_fail_shards() == frozenset({5})
-
-
-class TestExtractFaults:
-    def test_marked_shard_raises(self):
-        with injected(extract_fail_shards=[7]):
-            extract_fail(3)  # unmarked: fine
-            with pytest.raises(InjectedFault, match="shard 7"):
-                extract_fail(7)
 
 
 class TestParseCorruption:
@@ -135,22 +108,17 @@ class TestStageFaults:
 
 class TestIoFaults:
     def test_matching_tag_raises_oserror(self):
-        with injected(io_errors=["checkpoint", "manifest"]):
+        with injected(io_errors=["store-read", "segment"]):
             io_point("verdict-log")  # untagged: fine
-            with pytest.raises(OSError, match="checkpoint"):
-                io_point("checkpoint")
-            with pytest.raises(OSError, match="manifest"):
-                io_point("manifest")
+            with pytest.raises(OSError, match="store-read"):
+                io_point("store-read")
+            with pytest.raises(OSError, match="segment"):
+                io_point("segment")
 
     def test_oserror_not_injectedfault(self):
         # Callers must exercise the same handler a real disk error hits.
-        with injected(io_errors=["checkpoint"]):
+        with injected(io_errors=["store-read"]):
             try:
-                io_point("checkpoint")
+                io_point("store-read")
             except OSError as exc:
                 assert not isinstance(exc, InjectedFault)
-
-
-class TestModuleSurface:
-    def test_all_knobs_have_alias_entries(self):
-        assert set(faults._KNOB_FOR_KWARG.values()) == set(faults._ALIASES)

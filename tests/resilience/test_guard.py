@@ -1,10 +1,10 @@
-"""StageGuard: fallback ladders, degradation reporting, θ_hm ladder."""
+"""StageGuard: fallback ladders and degradation reporting."""
 
 import logging
 
 import pytest
 
-from repro.resilience import StageGuard, hm_backend_ladder
+from repro.resilience import StageGuard
 from repro.resilience.faults import InjectedFault, injected
 
 
@@ -122,22 +122,3 @@ class TestReporting:
         text = guard.degradations[0].describe()
         assert "theta_hm" in text
         assert "parallel" in text and "loop" in text and "boom" in text
-
-
-class TestHmLadder:
-    @pytest.mark.parametrize(
-        "backend, expected",
-        [
-            ("pruned", ("pruned", "parallel", "vectorized", "loop")),
-            ("parallel", ("parallel", "vectorized", "loop")),
-            ("vectorized", ("vectorized", "loop")),
-            ("auto", ("auto", "loop")),
-            ("loop", ("loop",)),
-        ],
-    )
-    def test_ladders(self, backend, expected):
-        assert hm_backend_ladder(backend) == expected
-
-    def test_ladder_terminates_at_loop(self):
-        for backend in ("pruned", "parallel", "vectorized", "auto", "loop"):
-            assert hm_backend_ladder(backend)[-1] == "loop"

@@ -2,7 +2,7 @@
 
 The storage subsystem's contract is that it changes *where* rows live,
 never *what* the detector computes: columnar snapshots, per-host
-features, parallel extraction, the full pipeline funnel and the online
+features, sharded extraction, the full pipeline funnel and the online
 detector's spool rescoring must all be exactly equal to their
 in-memory counterparts — the pipeline's percentile thresholds amplify
 any drift into different suspect sets.
@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.detection.incremental import OnlineDetector
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.flows import FlowRecord, FlowState, FlowStore, Protocol
-from repro.flows.metrics import extract_all_features
-from repro.flows.parallel import extract_features_parallel
-from repro.storage import StoreView, spool_flow_store
+from repro.flows.metrics import extract_all_features, extract_features_sharded
+from repro.storage import StorageBudgetError, StoreView, spool_flow_store
 
 
 def flow(src, dst="d", start=0.0, src_bytes=100, failed=False):
@@ -137,12 +136,8 @@ class TestViewEquivalence:
         store = random_store(seed=4)
         view = spool_flow_store(store, tmp_path / "s", segment_rows=53)
         expected = extract_all_features(store)
-        assert extract_features_parallel(view, n_workers=0) == expected
-        assert extract_features_parallel(view, n_workers=2) == expected
-        assert (
-            extract_features_parallel(view, n_workers=2, kernel="reference")
-            == expected
-        )
+        assert extract_features_sharded(view) == expected
+        assert extract_all_features(view) == expected
 
 
 SCALES = [(12, 10, 11), (40, 30, 17)]
@@ -189,35 +184,44 @@ class TestPipelineEquivalence:
 
     def test_budget_is_per_shard_gather(self, tmp_path):
         """The gather budget bounds one shard's materialisation, not the
-        trace: a budget far below the total row count still extracts
-        exactly when the work is sharded finely enough."""
+        trace: a budget a quarter of the total row count still extracts
+        exactly, because the extractor sizes its shard count from it."""
         store = random_store(seed=5)
         total = len(store)
         view = spool_flow_store(
             store,
             tmp_path / "s",
             segment_rows=31,
-            max_gather_rows=total // 2,
+            max_gather_rows=total // 4,
         )
-        expected = extract_all_features(store)
-        assert (
-            extract_features_parallel(view, n_workers=0, n_shards=8)
-            == expected
-        )
+        assert extract_features_sharded(view) == extract_all_features(store)
 
-    def test_hopeless_budget_fails_loudly(self, tmp_path):
-        """A budget no shard can fit in exhausts the store-backed ladder
-        (there is no in-memory rung for a view — the trace may not fit)
-        and surfaces as an error, never a partial result."""
+    def test_hopeless_budget_fails_loudly(self, tmp_path, monkeypatch):
+        """A budget below the largest host's rows raises out of the
+        pipeline on the first gather: no retries, no fallback rungs
+        (there is no in-memory rung for a view — the trace may not fit),
+        never a partial result."""
+        from repro.storage import SegmentStore
+
         store = random_store(seed=5)
+        largest = max(store.flow_counts().values())
         view = spool_flow_store(
-            store, tmp_path / "s", segment_rows=31, max_gather_rows=1
+            store, tmp_path / "s", segment_rows=31, max_gather_rows=largest - 1
         )
+        gathers = []
+        real_gather = SegmentStore.gather
+
+        def counting_gather(self, *args, **kwargs):
+            gathers.append(args)
+            return real_gather(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentStore, "gather", counting_gather)
         config = PipelineConfig(
             reduction_percentile=10.0, vol_percentile=90.0
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(StorageBudgetError):
             find_plotters(view, store.initiators, config)
+        assert len(gathers) == 1
 
     def test_storage_read_fault_degrades_identically(self, tmp_path):
         from repro.resilience import faults
@@ -237,8 +241,11 @@ class TestPipelineEquivalence:
             disk = find_plotters(store, store.initiators, config)
         assert disk.suspects == mem.suspects
         assert disk.reduction == mem.reduction
-        assert any(
-            event.stage == "extract_features" for event in disk.degradations
+        (event,) = disk.degradations
+        assert (event.stage, event.from_mode, event.to_mode) == (
+            "extract_features",
+            "store",
+            "in-memory",
         )
 
 
@@ -269,7 +276,7 @@ class TestOnlineSpoolRescore:
     def test_rescore_from_spool_matches_batch(self, tmp_path):
         hosts, flows = self.make_flows()
         config = PipelineConfig(
-            reduction_percentile=10.0, vol_percentile=90.0, n_workers=0
+            reduction_percentile=10.0, vol_percentile=90.0
         )
         detector = OnlineDetector(
             set(hosts),
@@ -294,7 +301,7 @@ class TestOnlineSpoolRescore:
 
     def test_spool_write_failure_degrades_not_dies(self, tmp_path):
         hosts, flows = self.make_flows(n_windows=1)
-        config = PipelineConfig(n_workers=0)
+        config = PipelineConfig()
         detector = OnlineDetector(
             set(hosts),
             window=self.WINDOW,
@@ -312,7 +319,7 @@ class TestOnlineSpoolRescore:
 
     def test_unknown_window_index_rejected(self, tmp_path):
         hosts, flows = self.make_flows(n_windows=1)
-        config = PipelineConfig(n_workers=0)
+        config = PipelineConfig()
         detector = OnlineDetector(
             set(hosts),
             window=self.WINDOW,
