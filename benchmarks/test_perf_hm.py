@@ -1,9 +1,9 @@
 """Perf harness for the θ_hm pairwise-EMD distance engine.
 
-Times the ``loop`` / ``vectorized`` / ``parallel`` backends of
+Times the ``loop`` and ``vectorized`` backends of
 :func:`repro.stats.emd.pairwise_emd` over synthetic host populations at
-several scales, verifies the fast backends reproduce the reference
-matrix, and writes the measurements to ``BENCH_hm.json`` at the repo
+several scales, verifies the vectorized backend reproduces the
+reference matrix, and writes the measurements to ``BENCH_hm.json`` at the repo
 root so successive PRs accumulate a perf trajectory.
 
 All headline timings run with the observability layer *disabled* (its
@@ -22,8 +22,8 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/test_perf_hm.py -q
 
 A second sweep benchmarks the *clustering-level* pruned engine
-(``cluster_hosts(backend="pruned")`` vs the exact ``parallel`` matrix
-path) on modal timer populations — the certified-decomposition shape —
+(``cluster_hosts(backend="pruned")`` vs the exact ``vectorized``
+matrix path) on modal timer populations — the certified-decomposition shape —
 at 5k-host scale, asserting full suspect-set equivalence at every
 measured size and recording certification stats (groups, pruned-pair
 fraction, rounds) under the report's ``pruned_clustering`` key.
@@ -196,7 +196,6 @@ def run_benchmark(
         # The loop backend is the slow reference; one round suffices.
         loop = _time_backend(hists, "loop", repeats=1)
         vec = _time_backend(hists, "vectorized", repeats=repeats)
-        par = _time_backend(hists, "parallel", repeats=1)
         reference = loop["matrix"]
         entry = {
             "n_hosts": n_hosts,
@@ -204,7 +203,7 @@ def run_benchmark(
             "max_bins": max_bins,
             "backends": {},
         }
-        for name, run in (("loop", loop), ("vectorized", vec), ("parallel", par)):
+        for name, run in (("loop", loop), ("vectorized", vec)):
             diff = float(np.abs(run["matrix"] - reference).max())
             if diff > ATOL:
                 raise AssertionError(
@@ -225,8 +224,6 @@ def run_benchmark(
             f"n_hosts={n_hosts:5d}  loop={loop['seconds']:8.3f}s  "
             f"vectorized={vec['seconds']:8.3f}s "
             f"({entry['backends']['vectorized']['speedup_vs_loop']:6.1f}x)  "
-            f"parallel={par['seconds']:8.3f}s "
-            f"({entry['backends']['parallel']['speedup_vs_loop']:6.1f}x)  "
             f"[{o['kernel_blocks']} blocks, obs-on "
             f"{o['enabled_overhead_vs_disabled']:.2f}x]"
         )
@@ -259,7 +256,7 @@ def run_pruned_benchmark(
     out_path: Path,
     repeats: int = 2,
 ) -> dict:
-    """Clustering-level sweep: pruned engine vs the exact parallel path.
+    """Clustering-level sweep: pruned engine vs the exact vectorized path.
 
     Every scale asserts full equivalence — identical clusters, kept
     set, τ_hm and diameters (to ``ATOL``) — so the recorded speedups
@@ -277,10 +274,10 @@ def run_pruned_benchmark(
         hists = modal_histograms(n_hosts)
         histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
         pruned_s, pruned = _time_clustering(histograms, "pruned", repeats)
-        exact_s, exact = _time_clustering(histograms, "parallel", 1)
+        exact_s, exact = _time_clustering(histograms, "vectorized", 1)
         if pruned.clusters != exact.clusters or pruned.kept != exact.kept:
             raise AssertionError(
-                f"pruned clustering diverges from parallel at {n_hosts} hosts"
+                f"pruned clustering diverges from vectorized at {n_hosts} hosts"
             )
         diff = float(
             np.abs(np.asarray(pruned.diameters) - np.asarray(exact.diameters)).max()
@@ -295,8 +292,8 @@ def run_pruned_benchmark(
             "n_hosts": n_hosts,
             "n_pairs": n_hosts * (n_hosts - 1) // 2,
             "pruned_seconds": pruned_s,
-            "parallel_seconds": exact_s,
-            "speedup_vs_parallel": exact_s / pruned_s,
+            "vectorized_seconds": exact_s,
+            "speedup_vs_vectorized": exact_s / pruned_s,
             "max_abs_diameter_diff": diff,
             "certified": prune_report.certified,
             "fallback_reason": prune_report.fallback_reason,
@@ -307,8 +304,8 @@ def run_pruned_benchmark(
         report["pruned_clustering"].append(entry)
         print(
             f"n_hosts={n_hosts:5d}  pruned={pruned_s:8.3f}s  "
-            f"parallel={exact_s:8.3f}s "
-            f"({entry['speedup_vs_parallel']:6.1f}x)  "
+            f"vectorized={exact_s:8.3f}s "
+            f"({entry['speedup_vs_vectorized']:6.1f}x)  "
             f"certified={prune_report.certified} "
             f"prune_frac={prune_report.prune_fraction:.3f} "
             f"rounds={prune_report.rounds}"

@@ -10,7 +10,7 @@ same lifecycle behind the CLI telemetry flags — and writes:
   stages with durations and host counts, the θ_hm clustering
   internals, the online evaluations) plus a final registry snapshot;
 * a Prometheus text file (``--prom-out``) — stage gauges, kernel
-  counters, histogram-cache hit/miss totals, ingest throughput;
+  counters, online-evaluation totals, ingest throughput;
 * optionally a run-ledger entry (``--ledger-dir``, inspect with
   ``repro-obs``) and a live HTTP endpoint (``--prom-port``, 0 for an
   ephemeral port).
@@ -115,15 +115,13 @@ def main() -> int:
             day.all_hosts, window=day.window / 4, reservoir_size=512
         )
         online.ingest_many(overlaid.store)
-        online.evaluate()  # builds every histogram (all misses) ...
-        verdict = online.evaluate()  # ... re-evaluation hits the cache
+        verdict = online.evaluate()
         logger.info(
-            "online detector: %d windows tumbled, %d suspects in the "
-            "open window, cache %d hits / %d misses",
+            "online detector: %d windows tumbled, %d evaluations, %d "
+            "suspects in the open window",
             len(online.history),
+            int(obs.counter("repro_online_evaluations_total").value()),
             len(verdict.suspects),
-            online.cache_hits,
-            online.cache_misses,
         )
         if args.selfcheck:
             selfcheck(session.server.url, logger)

@@ -18,9 +18,6 @@ printed for both engines and must agree.
 **Lower-bound soundness (sampled)** — on a random pair sample, every
 index lower bound must sit at or below the exact kernel distance.
 
-**Escape hatch** — ``exact=True`` must resolve away from the pruned
-engine and produce the same clustering.
-
 Scale and reference engine are configurable so CI can trade coverage
 for wall time.
 
@@ -42,7 +39,7 @@ _checklib.bootstrap()
 import numpy as np  # noqa: E402
 
 from repro.detection.humanmachine import cluster_hosts  # noqa: E402
-from repro.stats.emd import condensed_for_pairs, resolve_backend  # noqa: E402
+from repro.stats.emd import condensed_for_pairs  # noqa: E402
 from repro.stats.emdindex import build_index, pruned_partition  # noqa: E402
 from repro.stats.histogram import build_histogram  # noqa: E402
 
@@ -145,17 +142,6 @@ def check_lower_bounds(hists, n_samples: int = 2000, seed: int = 0):
     )
 
 
-def check_escape_hatch(hists, exact_backend: str):
-    histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
-    hatch = cluster_hosts(histograms, 70.0, backend="pruned", exact=True)
-    assert hatch.backend != "pruned", hatch.backend
-    assert hatch.backend == resolve_backend("auto", len(hists), exact=True)
-    reference = cluster_hosts(histograms, 70.0, backend=exact_backend)
-    assert hatch.kept == reference.kept
-    assert hatch.clusters == reference.clusters
-    print(f"escape hatch: OK — exact=True resolved to {hatch.backend!r}")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -169,16 +155,15 @@ def main() -> int:
     )
     parser.add_argument(
         "--exact-backend",
-        default=None,
-        help="reference engine for the equivalence check (default: what "
-        "auto+exact resolves to on this machine)",
+        default="vectorized",
+        choices=("vectorized", "loop"),
+        help="reference engine for the equivalence check (default: "
+        "vectorized)",
     )
     args = parser.parse_args()
 
     hists = modal_histograms(args.hosts, n_modes=args.modes)
-    exact_backend = args.exact_backend or resolve_backend(
-        "auto", len(hists), exact=True
-    )
+    exact_backend = args.exact_backend
     print(
         f"population: {args.hosts} hosts, {args.modes} timer families; "
         f"exact reference engine: {exact_backend!r}"
@@ -189,8 +174,6 @@ def main() -> int:
         check_equivalence(hists, exact_backend)
     with phase("lower-bound soundness"):
         check_lower_bounds(hists)
-    with phase("escape hatch"):
-        check_escape_hatch(hists, exact_backend)
     print("hm-pruning check: all phases OK")
     return 0
 

@@ -8,7 +8,7 @@ hand.  Three independently selectable checks:
   line by line with the four funnel stage spans (reduction, theta_vol,
   theta_churn, theta_hm) and a final ``{"type": "metrics"}`` snapshot,
   and the Prometheus file parses under a strict line grammar with the
-  funnel gauges and online histogram-cache counters;
+  funnel gauges and the online evaluation counter;
 * ``--ledger DIR`` — every recorded run directory is complete (manifest
   with required keys, parseable spans, grammar-clean ``metrics.prom``)
   and suspect checksums recompute;
@@ -75,13 +75,11 @@ def check_jsonl(path: Path) -> None:
     assert snapshots, "no metrics snapshot event in JSONL"
     metrics = snapshots[-1]["metrics"]
     for required in (
-        "repro_online_hist_cache_total",
+        "repro_online_evaluations_total",
         "repro_emd_pairs_total",
         "repro_flows_ingested_total",
     ):
         assert metrics.get(required), f"snapshot missing {required}"
-    cache = metrics["repro_online_hist_cache_total"]
-    assert "result=hit" in cache and "result=miss" in cache, cache
     print(f"{path}: {len(spans)} spans, funnel " + " -> ".join(
         f"{stage}:{int(n_in)}->{int(n_out)}" for stage, n_in, n_out in funnel
     ))
@@ -107,7 +105,7 @@ def check_prom(path: Path) -> None:
         "repro_stage_input_hosts",
         "repro_stage_surviving_hosts",
         "repro_stage_threshold",
-        "repro_online_hist_cache_total",
+        "repro_online_evaluations_total",
         "repro_span_seconds_bucket",
         "repro_flows_ingested_total",
     ):

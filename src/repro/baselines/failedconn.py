@@ -13,6 +13,7 @@ from typing import Set
 
 from ..detection.reduction import initial_data_reduction
 from ..detection.testbase import TestResult
+from ..flows.metrics import extract_features_sharded
 from ..flows.store import FlowStore
 
 __all__ = ["FailedConnDetector"]
@@ -28,4 +29,6 @@ class FailedConnDetector:
 
     def detect(self, store: FlowStore, hosts: Set[str]) -> TestResult:
         """Flag high-failure hosts — Plotters, Traders and noise alike."""
-        return initial_data_reduction(store, hosts, self.percentile)
+        return initial_data_reduction(
+            extract_features_sharded(store, hosts), hosts, self.percentile
+        )

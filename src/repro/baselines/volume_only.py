@@ -12,6 +12,7 @@ from typing import Set
 
 from ..detection.testbase import TestResult
 from ..detection.volume import theta_vol
+from ..flows.metrics import extract_features_sharded
 from ..flows.store import FlowStore
 
 __all__ = ["VolumeOnlyDetector"]
@@ -27,4 +28,6 @@ class VolumeOnlyDetector:
 
     def detect(self, store: FlowStore, hosts: Set[str]) -> TestResult:
         """Flag hosts with low average flow size — nothing else."""
-        return theta_vol(store, hosts, self.percentile)
+        return theta_vol(
+            extract_features_sharded(store, hosts), hosts, self.percentile
+        )

@@ -5,8 +5,7 @@ Usage::
     repro-datasets generate --out traces/ --days 2 --scale 0.5 --seed 7
     repro-datasets inspect  --trace traces/campus-day0.flows.csv --top 10
     repro-datasets label    --trace traces/campus-day0.flows.csv
-    repro-datasets detect   --trace traces/campus-day0.flows.csv \
-        --hm-backend pruned
+    repro-datasets detect   --trace traces/campus-day0.flows.csv
 
 ``generate`` writes campus days plus the Storm and Nugache honeynet
 traces in the Argus-like CSV format; ``inspect`` prints per-host
@@ -30,7 +29,6 @@ from pathlib import Path
 from ..flows.argus import PARSE_ERROR_MODES, read_flows_report
 from ..flows.metrics import extract_features_sharded
 from ..obs import ObsSession, add_observability_args, configure_logging, get_logger
-from ..stats.emd import PAIRWISE_BACKENDS
 from .campus import CampusConfig, build_campus_day
 from .groundtruth import identify_traders
 from .honeynet import capture_nugache_trace, capture_storm_trace
@@ -111,17 +109,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from ..detection.pipeline import PipelineConfig, find_plotters
+    from ..detection.pipeline import find_plotters
 
     store = _read_trace(args)
-    config = PipelineConfig(
-        hm_backend=args.hm_backend,
-        hm_exact=args.hm_exact,
-        degrade=not args.no_degrade,
-    )
-    result = find_plotters(store, config=config)
-    for event in result.degradations:
-        logger.warning("%s", event.describe())
+    result = find_plotters(store)
     session = getattr(args, "obs_session", None)
     if session is not None:
         session.record_result(result)
@@ -235,24 +226,6 @@ def main(argv=None) -> int:
         "detect", help="run the FindPlotters pipeline over a trace"
     )
     add_ingest_flags(detect)
-    detect.add_argument(
-        "--hm-backend",
-        choices=PAIRWISE_BACKENDS,
-        default="auto",
-        help="pairwise-EMD engine for theta_hm (default auto; all "
-        "engines yield identical suspects)",
-    )
-    detect.add_argument(
-        "--hm-exact",
-        action="store_true",
-        help="forbid the pruned theta_hm engine (exactness escape hatch)",
-    )
-    detect.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="make stage failures fatal instead of stepping down the "
-        "fallback ladder",
-    )
     detect.add_argument(
         "--verdict-db",
         default=None,

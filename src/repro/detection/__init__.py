@@ -5,7 +5,7 @@ from .reduction import failed_rates, initial_data_reduction
 from .volume import theta_vol, volume_metric
 from .churn import churn_metric, theta_churn
 from .humanmachine import HmClustering, host_histograms, theta_hm
-from .pipeline import PipelineConfig, PipelineResult, find_plotters
+from .pipeline import PipelineConfig, PipelineResult, find_plotters, score_features
 from .portsplit import (
     PortSplitConfig,
     PortSplitResult,
@@ -40,6 +40,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "find_plotters",
+    "score_features",
     "PortSplitConfig",
     "PortSplitResult",
     "find_plotters_port_split",

@@ -11,14 +11,9 @@ Plotter-like.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping
 
-from ..flows.metrics import (
-    NEW_IP_GRACE_PERIOD,
-    HostFeatures,
-    new_ip_fraction,
-)
-from ..flows.store import FlowStore
+from ..flows.metrics import HostFeatures
 from ..stats.thresholds import percentile_threshold, select_below
 from .testbase import TestResult
 
@@ -26,40 +21,28 @@ __all__ = ["churn_metric", "theta_churn"]
 
 
 def churn_metric(
-    store: FlowStore,
-    hosts: Iterable[str],
-    grace_period: float = NEW_IP_GRACE_PERIOD,
-    features: Optional[Mapping[str, HostFeatures]] = None,
+    features: Mapping[str, HostFeatures], hosts: Iterable[str]
 ) -> Dict[str, float]:
     """Fraction of newly contacted IPs per host.
 
-    With ``features`` the metric is read off pre-extracted bundles —
-    the caller vouches the bundles were built with this
-    ``grace_period`` — instead of re-scanning the store.
+    The grace period is the one the bundles were extracted with.  Hosts
+    without a feature bundle (no initiated flow) are skipped.
     """
     metric: Dict[str, float] = {}
-    if features is not None:
-        for host in hosts:
-            bundle = features.get(host)
-            if bundle is not None:
-                metric[host] = bundle.new_ip_fraction
-        return metric
     for host in hosts:
-        flows = store.flows_from(host)
-        if flows:
-            metric[host] = new_ip_fraction(flows, grace_period)
+        bundle = features.get(host)
+        if bundle is not None:
+            metric[host] = bundle.new_ip_fraction
     return metric
 
 
 def theta_churn(
-    store: FlowStore,
-    hosts: Set[str],
+    features: Mapping[str, HostFeatures],
+    hosts: Iterable[str],
     percentile: float = 50.0,
-    grace_period: float = NEW_IP_GRACE_PERIOD,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> TestResult:
     """Select hosts whose new-IP fraction is below τ_churn."""
-    metric = churn_metric(store, hosts, grace_period, features)
+    metric = churn_metric(features, hosts)
     if not metric:
         return TestResult(name="churn", selected=frozenset(), threshold=0.0)
     threshold = percentile_threshold(list(metric.values()), percentile)

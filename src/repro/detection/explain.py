@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..flows.store import FlowStore
-from .humanmachine import HmClustering, cluster_hosts, host_histograms
-from .pipeline import PipelineConfig, PipelineResult
+from .pipeline import PipelineResult
 
 __all__ = ["StageEvidence", "HostExplanation", "explain_host", "format_explanation"]
 
@@ -90,19 +88,12 @@ def _stage(
     )
 
 
-def explain_host(
-    result: PipelineResult,
-    store: FlowStore,
-    host: str,
-    config: PipelineConfig = PipelineConfig(),
-) -> HostExplanation:
+def explain_host(result: PipelineResult, host: str) -> HostExplanation:
     """Assemble the evidence trail for ``host`` from a pipeline run.
 
-    Cluster membership is read off the clustering the pipeline already
-    computed (``result.hm.detail``) whenever the result carries it;
-    only results from older runs that lack it fall back to re-reading
-    ``store`` — which must then be the same traffic the pipeline
-    analysed — and re-clustering.
+    Everything is read off the result: stage metrics and thresholds,
+    and cluster membership from the θ_hm clustering the pipeline
+    already computed (``result.hm.detail``).
     """
     stages: List[StageEvidence] = []
     if result.reduction is not None:
@@ -141,11 +132,6 @@ def explain_host(
     cluster_diameter: Optional[float] = None
     if host in result.union_vol_churn:
         clustering = result.hm.detail
-        if not isinstance(clustering, HmClustering):
-            histograms = host_histograms(store, sorted(result.union_vol_churn))
-            clustering = cluster_hosts(
-                histograms, config.hm_percentile, config.hm_cut_fraction
-            )
         for cluster, diameter in zip(clustering.clusters, clustering.diameters):
             if host in cluster:
                 cluster_members = tuple(h for h in cluster if h != host)

@@ -15,12 +15,11 @@ surviving clusters is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..flows.metrics import HostFeatures, interstitial_times
-from ..flows.store import FlowStore
+from ..flows.metrics import HostFeatures
 from ..obs.tracing import span
 from ..stats.clustering import (
     DEFAULT_CUT_FRACTION,
@@ -53,8 +52,8 @@ class HmClustering:
     Carries the clusters, their diameters, and the applied threshold so
     the evaluation (and the evasion study) can see how hosts grouped.
     ``backend`` is the *resolved* pairwise-EMD engine that actually ran
-    (never ``"auto"``), so callers and tests can observe which rung of
-    the escalation ladder a given population landed on.
+    (never ``"auto"``), so callers and tests can observe which engine a
+    given population landed on.
     """
 
     hosts: Tuple[str, ...]
@@ -62,22 +61,21 @@ class HmClustering:
     diameters: Tuple[float, ...]
     threshold: float
     kept: Tuple[Tuple[str, ...], ...]
-    backend: str = "loop"
+    backend: str = "vectorized"
 
 
 def host_histograms(
-    store: FlowStore,
+    features: Mapping[str, HostFeatures],
     hosts: Sequence[str],
     min_samples: int = MIN_SAMPLES,
     log_scale: bool = True,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> Dict[str, Histogram]:
     """Interstitial-time histograms for hosts with enough samples.
 
     Hosts with fewer than ``min_samples`` per-destination gaps are
     dropped: they never revisit destinations often enough to exhibit a
     timing signature (and so cannot be machine-periodic in the sense the
-    test measures).
+    test measures).  Hosts without a feature bundle have no samples.
 
     With ``log_scale`` (the default) samples are binned in log10-seconds.
     This is a deliberate refinement over the paper's raw-seconds
@@ -86,21 +84,11 @@ def host_histograms(
     structure Figure 3 keys on; log space compares timing *patterns*
     across scales.  ``log_scale=False`` recovers the paper's literal
     construction (see the binning ablation benchmark).
-
-    With ``features`` the interstitial samples are read off
-    pre-extracted bundles (same samples, same order — the parallel
-    engine is pinned bit-identical to :func:`interstitial_times`)
-    instead of re-scanning the store.
     """
     histograms: Dict[str, Histogram] = {}
     for host in hosts:
-        if features is not None:
-            bundle = features.get(host)
-            samples: List[float] = (
-                list(bundle.interstitials) if bundle is not None else []
-            )
-        else:
-            samples = interstitial_times(store.flows_from(host))
+        bundle = features.get(host)
+        samples = list(bundle.interstitials) if bundle is not None else []
         if len(samples) < min_samples:
             continue
         if log_scale:
@@ -115,7 +103,6 @@ def cluster_hosts(
     cut_fraction: float = DEFAULT_CUT_FRACTION,
     min_cluster_size: int = 2,
     backend: str = "auto",
-    exact: bool = False,
 ) -> HmClustering:
     """Cluster hosts by EMD and keep tight clusters.
 
@@ -129,10 +116,9 @@ def cluster_hosts(
     every backend produces the same clusters, diameters, τ_hm and kept
     set (pinned to atol=1e-12 by the equivalence suite), so results do
     not depend on the choice.  The ``"pruned"`` backend skips provably
-    irrelevant host pairs via :mod:`repro.stats.emdindex`; ``exact=True``
-    is the escape hatch that forbids it (``"auto"`` then stops
-    escalating at ``"parallel"``).  The engine that actually ran is
-    reported on the result's ``backend`` field and the span.
+    irrelevant host pairs via :mod:`repro.stats.emdindex`.  The engine
+    that actually ran is reported on the result's ``backend`` field and
+    the span.
     """
     hosts = tuple(sorted(histograms))
     if not hosts:
@@ -150,7 +136,7 @@ def cluster_hosts(
             kept=kept_single,
         )
     n = len(hosts)
-    resolved = resolve_backend(backend, n, exact=exact)
+    resolved = resolve_backend(backend, n)
     with span(
         "cluster_hosts",
         hosts=n,
@@ -203,34 +189,23 @@ def cluster_hosts(
 
 
 def theta_hm(
-    store: FlowStore,
-    hosts: Set[str],
+    features: Mapping[str, HostFeatures],
+    hosts: Iterable[str],
     percentile: float = 70.0,
     cut_fraction: float = DEFAULT_CUT_FRACTION,
     min_samples: int = MIN_SAMPLES,
     log_scale: bool = True,
     min_cluster_size: int = 2,
-    backend: str = "auto",
-    exact: bool = False,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> TestResult:
     """Select hosts in timing clusters whose diameter is ≤ τ_hm.
 
     The returned :class:`~repro.detection.testbase.TestResult` metric
-    maps each clustered host to the diameter of its cluster.
-    ``backend`` and ``exact`` are forwarded to the pairwise-EMD engine;
-    ``features`` (pre-extracted bundles) to :func:`host_histograms`.
+    maps each clustered host to the diameter of its cluster, and its
+    ``detail`` carries the :class:`HmClustering`.
     """
-    histograms = host_histograms(
-        store, sorted(hosts), min_samples, log_scale, features
-    )
+    histograms = host_histograms(features, sorted(hosts), min_samples, log_scale)
     clustering = cluster_hosts(
-        histograms,
-        percentile,
-        cut_fraction,
-        min_cluster_size,
-        backend=backend,
-        exact=exact,
+        histograms, percentile, cut_fraction, min_cluster_size
     )
     selected = {host for cluster in clustering.kept for host in cluster}
     metric: Dict[str, float] = {}

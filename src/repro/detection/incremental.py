@@ -6,17 +6,17 @@ wants the same verdicts *while the window fills*: ingest flows as they
 arrive, re-evaluate periodically, keep memory bounded.
 
 :class:`OnlineDetector` composes the streaming feature extractor with
-the detection tests.  Flows are ingested one at a time; at any moment
-:meth:`evaluate` runs the FindPlotters logic over the features
-accumulated in the current window.  Windows tumble: when a flow arrives
-past the window end, the window is finalised (its result retained in
-``history``) and a new one starts.
+the batch scoring core.  Flows are ingested one at a time; at any
+moment :meth:`evaluate` hands the features accumulated in the current
+window to :func:`~repro.detection.pipeline.score_features`, the same
+reduction, θ_vol, θ_churn and θ_hm code :func:`find_plotters` runs.
+Windows tumble: when a flow arrives past the window end, the window is
+finalised (its result retained in ``history``) and a new one starts.
 
-Fidelity note: θ_vol, θ_churn and the reduction step are computed from
-the streaming features *exactly* as in the batch pipeline; θ_hm uses
-the per-host interstitial reservoir (an unbiased sample) instead of the
-complete sample set, so its histograms converge to the batch ones as
-the reservoir grows.
+Fidelity note: the scalar features are exact; θ_hm reads the per-host
+interstitial reservoir (an unbiased sample) instead of the complete
+sample set, so its histograms converge to the batch ones as the
+reservoir grows, and equal them once the reservoir holds every sample.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-import numpy as np
-
 from ..flows.record import FlowRecord
 from ..flows.store import FlowStore
 from ..flows.streaming import StreamingFeatureExtractor
@@ -37,34 +35,22 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..resilience import Degradation, StageGuard, atomic_write_text
 from ..resilience.faults import io_point
-from ..stats.histogram import Histogram, build_histogram
-from ..stats.thresholds import percentile_threshold, select_above, select_below
-from .humanmachine import MIN_SAMPLES, _LOG_FLOOR, cluster_hosts
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
-    _record_stage,
     find_plotters,
+    score_features,
 )
 
 __all__ = ["OnlineVerdict", "OnlineDetector"]
 
-# Online-detector telemetry.  The cache hit/miss counts are *also* kept
-# as plain attributes on the detector (``cache_hits``/``cache_misses``)
-# because they are part of its public API and must keep counting while
-# observability is disabled; the registry counters below are the
-# exported view of the same events.
+# Online-detector telemetry.
 _TUMBLES = obs_metrics.counter(
     "repro_online_window_tumbles_total",
     "Windows finalised by the online detector",
 )
 _EVALUATIONS = obs_metrics.counter(
     "repro_online_evaluations_total", "OnlineDetector.evaluate() calls"
-)
-_HIST_CACHE = obs_metrics.counter(
-    "repro_online_hist_cache_total",
-    "Histogram-cache lookups by outcome",
-    labels=("result",),
 )
 _RESERVOIR_SAMPLES = obs_metrics.gauge(
     "repro_online_reservoir_samples",
@@ -174,7 +160,6 @@ class OnlineDetector:
         window: float = 6 * 3600.0,
         config: PipelineConfig = PipelineConfig(),
         reservoir_size: int = 4096,
-        cache_histograms: bool = True,
         checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
         resume: bool = False,
         spool_dir: Optional[Union[str, os.PathLike]] = None,
@@ -199,7 +184,6 @@ class OnlineDetector:
         self.window_origin = window_origin
         self.config = config
         self.reservoir_size = reservoir_size
-        self.cache_histograms = cache_histograms
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -252,11 +236,6 @@ class OnlineDetector:
                     f"{type(exc).__name__}: {exc}",
                 )
         self._extractor = self._fresh_extractor()
-        # host -> (reservoir version, histogram built at that version).
-        # Valid only within the current window; cleared on tumble.
-        self._hist_cache: Dict[str, Tuple[int, Histogram]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: The live telemetry endpoint, when ``prom_port`` was given.
         self.metrics_server = None
         if prom_port is not None:
@@ -428,9 +407,6 @@ class OnlineDetector:
                 self._window_bounds[self._window_index] = (start, at)
         self._window_index += 1
         self._extractor = self._fresh_extractor()
-        # The new window starts with empty reservoirs whose version
-        # counters restart from zero — stale entries must not collide.
-        self._hist_cache.clear()
         _TUMBLES.inc()
 
     def finalize_window(self, at: Optional[float] = None) -> Optional[OnlineVerdict]:
@@ -456,132 +432,36 @@ class OnlineDetector:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _host_histogram(self, host, samples) -> Optional[Histogram]:
-        """The host's interstitial histogram, cached per reservoir version.
-
-        Returns ``None`` for hosts without enough samples.  The cache key
-        is the extractor's reservoir version counter, which changes iff
-        the sample set changed — so between evaluations of a busy window,
-        only hosts with new samples pay the histogram rebuild.
-        """
-        if len(samples) < MIN_SAMPLES:
-            return None
-        version = self._extractor.reservoir_version(host)
-        if self.cache_histograms:
-            cached = self._hist_cache.get(host)
-            if cached is not None and cached[0] == version:
-                self.cache_hits += 1
-                _HIST_CACHE.inc(result="hit")
-                return cached[1]
-        self.cache_misses += 1
-        _HIST_CACHE.inc(result="miss")
-        if self.config.hm_log_scale:
-            samples = [float(np.log10(max(s, _LOG_FLOOR))) for s in samples]
-        hist = build_histogram(list(samples))
-        if self.cache_histograms:
-            self._hist_cache[host] = (version, hist)
-        return hist
-
     def evaluate(self, now: Optional[float] = None) -> OnlineVerdict:
-        """Run the FindPlotters logic over the current window's state."""
+        """Score the current window's features with the batch core."""
         with span("online_evaluate", window_index=self._window_index) as sp:
-            verdict = self._evaluate(now)
+            features = {
+                host: feats
+                for host, feats in self._extractor.all_features().items()
+                if host in self.internal_hosts
+            }
+            _EVALUATIONS.inc()
+            if obs_metrics.is_enabled():
+                _TRACKED_HOSTS.set(len(features))
+                _RESERVOIR_SAMPLES.set(
+                    sum(len(f.interstitials) for f in features.values())
+                )
+            result = score_features(features, features, self.config)
+            verdict = OnlineVerdict(
+                window_index=self._window_index,
+                evaluated_at=(
+                    now if now is not None else (self._window_start or 0.0)
+                ),
+                hosts_seen=len(features),
+                reduced=frozenset(result.reduced_hosts),
+                suspects=frozenset(result.suspects),
+            )
             sp.set(
                 hosts_seen=verdict.hosts_seen,
                 reduced=len(verdict.reduced),
                 suspects=len(verdict.suspects),
             )
         return verdict
-
-    def _evaluate(self, now: Optional[float] = None) -> OnlineVerdict:
-        features = {
-            host: feats
-            for host, feats in self._extractor.all_features().items()
-            if host in self.internal_hosts
-        }
-        evaluated_at = (
-            now
-            if now is not None
-            else (self._window_start or 0.0)
-        )
-        _EVALUATIONS.inc()
-        if obs_metrics.is_enabled():
-            _TRACKED_HOSTS.set(len(features))
-            _RESERVOIR_SAMPLES.set(
-                sum(len(f.interstitials) for f in features.values())
-            )
-
-        # Initial data reduction on failed-connection rates.
-        rates = {
-            h: f.failed_conn_rate
-            for h, f in features.items()
-            if f.successful_flow_count > 0
-        }
-        if not rates:
-            return OnlineVerdict(
-                window_index=self._window_index,
-                evaluated_at=evaluated_at,
-                hosts_seen=len(features),
-                reduced=frozenset(),
-                suspects=frozenset(),
-            )
-        reduction_threshold = percentile_threshold(
-            list(rates.values()), self.config.reduction_percentile
-        )
-        reduced = select_above(rates, reduction_threshold)
-        # Refresh the shared stage-funnel gauges so a live /metrics
-        # scrape mid-window shows the same repro_stage_* series as a
-        # batch run (the values describe this evaluation).
-        _record_stage(
-            "reduction", len(rates), len(reduced), reduction_threshold
-        )
-
-        # θ_vol and θ_churn from the streamed features.
-        vol_metric = {h: features[h].avg_flow_size for h in reduced}
-        churn_metric = {h: features[h].new_ip_fraction for h in reduced}
-        suspects: Set[str] = set()
-        if vol_metric:
-            vol_threshold = percentile_threshold(
-                list(vol_metric.values()), self.config.vol_percentile
-            )
-            churn_threshold = percentile_threshold(
-                list(churn_metric.values()), self.config.churn_percentile
-            )
-            vol_selected = select_below(vol_metric, vol_threshold)
-            churn_selected = select_below(churn_metric, churn_threshold)
-            _record_stage(
-                "theta_vol", len(reduced), len(vol_selected), vol_threshold
-            )
-            _record_stage(
-                "theta_churn", len(reduced), len(churn_selected),
-                churn_threshold,
-            )
-            union = vol_selected | churn_selected
-            # θ_hm over reservoir-sampled interstitials.
-            histograms: Dict[str, Histogram] = {}
-            for host in sorted(union):
-                hist = self._host_histogram(host, features[host].interstitials)
-                if hist is not None:
-                    histograms[host] = hist
-            clustering = cluster_hosts(
-                histograms,
-                self.config.hm_percentile,
-                self.config.hm_cut_fraction,
-                backend=self.config.hm_backend,
-                exact=self.config.hm_exact,
-            )
-            suspects = {h for cluster in clustering.kept for h in cluster}
-            _record_stage(
-                "theta_hm", len(union), len(suspects), clustering.threshold
-            )
-
-        return OnlineVerdict(
-            window_index=self._window_index,
-            evaluated_at=evaluated_at,
-            hosts_seen=len(features),
-            reduced=frozenset(reduced),
-            suspects=frozenset(suspects),
-        )
 
     # ------------------------------------------------------------------
     # Batch rescoring

@@ -7,28 +7,31 @@
       return S_hm
 
 The evaluation applies the initial data-reduction step of §V-A first to
-form S; :func:`find_plotters` performs both, recording every
-intermediate set so the Figure 9 funnel can be reproduced.
+form S.  :func:`score_features` is the one scoring core: it runs the
+reduction and the three tests over per-host feature bundles, recording
+every intermediate set so the Figure 9 funnel can be reproduced.
+:func:`find_plotters` extracts the bundles from a store and scores
+them; the online detector scores its streaming bundles with the same
+core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Optional, Set, Tuple
 
-from ..flows.metrics import extract_features_sharded
+from ..flows.metrics import HostFeatures, extract_features_sharded
 from ..flows.store import FlowStore
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..resilience import Degradation, StageGuard
-from ..stats.emd import PAIRWISE_BACKENDS
 from .churn import theta_churn
 from .humanmachine import theta_hm
 from .reduction import initial_data_reduction
 from .testbase import TestResult
 from .volume import theta_vol
 
-__all__ = ["PipelineConfig", "PipelineResult", "find_plotters"]
+__all__ = ["PipelineConfig", "PipelineResult", "find_plotters", "score_features"]
 
 # The Figure 9 funnel as a metric stream: per stage, how many hosts
 # entered, how many survived, and the dynamic threshold applied.
@@ -76,16 +79,6 @@ class PipelineConfig:
     hm_percentile: float = 85.0
     hm_cut_fraction: float = 0.05
     hm_log_scale: bool = True
-    #: Pairwise-EMD engine for θ_hm ("auto", "loop", "vectorized",
-    #: "parallel", "pruned") — all backends yield the same clustering
-    #: result; "pruned" skips provably irrelevant host pairs (see
-    #: :mod:`repro.stats.emdindex`) and "auto" escalates to it on large
-    #: populations unless ``hm_exact`` forbids that.
-    hm_backend: str = "auto"
-    #: Escape hatch: force the exact (non-pruned) engines for θ_hm.
-    #: With ``hm_backend="auto"`` escalation then stops at "parallel";
-    #: an explicit ``hm_backend="pruned"`` is resolved as "auto".
-    hm_exact: bool = False
     apply_reduction: bool = True
     #: Segment-store directory for out-of-core extraction (None = stay
     #: in memory).  When set and the pipeline is handed an in-memory
@@ -108,14 +101,6 @@ class PipelineConfig:
     degrade: bool = True
 
     def __post_init__(self) -> None:
-        # Fail at construction, not deep inside pairwise_emd: a typo'd
-        # backend would otherwise surface only after the cheap stages
-        # already ran.
-        if self.hm_backend not in PAIRWISE_BACKENDS:
-            raise ValueError(
-                f"unknown hm_backend {self.hm_backend!r}; expected one of "
-                f"{PAIRWISE_BACKENDS}"
-            )
         if self.segment_rows < 1:
             raise ValueError("segment_rows must be >= 1")
 
@@ -214,6 +199,71 @@ def _extract_attempts(store, hosts, config):
     return [("store", spooled), ("in-memory", extract)]
 
 
+def score_features(
+    features: Mapping[str, HostFeatures],
+    hosts: Iterable[str],
+    config: PipelineConfig = PipelineConfig(),
+) -> PipelineResult:
+    """Run the reduction and the three tests over per-host features.
+
+    The one FindPlotters scoring core: the batch pipeline feeds it the
+    bundles it extracted from a store, the online detector its
+    streaming bundles.  Each stage runs in its own span and refreshes
+    the ``repro_stage_*`` funnel gauges.  Hosts without a bundle (no
+    initiated flow) count as input hosts but never survive a stage.
+    """
+    hosts = set(hosts)
+    reduction: Optional[TestResult] = None
+    working = hosts
+    if config.apply_reduction:
+        with span("reduction", input_hosts=len(hosts)) as s:
+            reduction = initial_data_reduction(
+                features, hosts, config.reduction_percentile
+            )
+            working = reduction.selected_set
+            s.set(surviving_hosts=len(working), threshold=reduction.threshold)
+        _record_stage("reduction", len(hosts), len(working), reduction.threshold)
+
+    with span("theta_vol", input_hosts=len(working)) as s:
+        volume = theta_vol(features, working, config.vol_percentile)
+        s.set(
+            surviving_hosts=len(volume.selected_set),
+            threshold=volume.threshold,
+        )
+    _record_stage(
+        "theta_vol", len(working), len(volume.selected_set), volume.threshold
+    )
+
+    with span("theta_churn", input_hosts=len(working)) as s:
+        churn = theta_churn(features, working, config.churn_percentile)
+        s.set(
+            surviving_hosts=len(churn.selected_set),
+            threshold=churn.threshold,
+        )
+    _record_stage(
+        "theta_churn", len(working), len(churn.selected_set), churn.threshold
+    )
+
+    union = volume.selected_set | churn.selected_set
+    with span("theta_hm", input_hosts=len(union)) as s:
+        hm = theta_hm(
+            features,
+            union,
+            percentile=config.hm_percentile,
+            cut_fraction=config.hm_cut_fraction,
+            log_scale=config.hm_log_scale,
+        )
+        s.set(surviving_hosts=len(hm.selected_set), threshold=hm.threshold)
+    _record_stage("theta_hm", len(union), len(hm.selected_set), hm.threshold)
+    return PipelineResult(
+        input_hosts=frozenset(hosts),
+        reduction=reduction,
+        volume=volume,
+        churn=churn,
+        hm=hm,
+    )
+
+
 def find_plotters(
     store: FlowStore,
     hosts: Optional[Set[str]] = None,
@@ -221,6 +271,9 @@ def find_plotters(
     guard: Optional[StageGuard] = None,
 ) -> PipelineResult:
     """Run the full detection pipeline over one window of traffic.
+
+    Extracts every per-host feature bundle once, then scores them with
+    :func:`score_features`.
 
     Parameters
     ----------
@@ -247,86 +300,15 @@ def find_plotters(
 
     with span("find_plotters", input_hosts=len(hosts)) as root:
         _RUNS.inc()
-
-        # Extract every per-host feature bundle once up front, then let
-        # each stage read its metric off the bundles instead of
-        # re-scanning the store four times.  A failed store_dir spool
-        # steps down to in-memory extraction under the guard.
+        # A failed store_dir spool steps down to in-memory extraction
+        # under the guard.
         with span("extract_features", hosts=len(hosts)):
             features = guard.run(
                 "extract_features", _extract_attempts(store, hosts, config)
             )
-
-        reduction: Optional[TestResult] = None
-        working = hosts
-        if config.apply_reduction:
-            with span("reduction", input_hosts=len(hosts)) as s:
-                reduction = initial_data_reduction(
-                    store, hosts, config.reduction_percentile, features
-                )
-                working = reduction.selected_set
-                s.set(
-                    surviving_hosts=len(working),
-                    threshold=reduction.threshold,
-                )
-            _record_stage(
-                "reduction", len(hosts), len(working), reduction.threshold
-            )
-
-        with span("theta_vol", input_hosts=len(working)) as s:
-            volume = theta_vol(
-                store, working, config.vol_percentile, features
-            )
-            s.set(
-                surviving_hosts=len(volume.selected_set),
-                threshold=volume.threshold,
-            )
-        _record_stage(
-            "theta_vol", len(working), len(volume.selected_set),
-            volume.threshold,
-        )
-
-        with span("theta_churn", input_hosts=len(working)) as s:
-            churn = theta_churn(
-                store, working, config.churn_percentile, features=features
-            )
-            s.set(
-                surviving_hosts=len(churn.selected_set),
-                threshold=churn.threshold,
-            )
-        _record_stage(
-            "theta_churn", len(working), len(churn.selected_set),
-            churn.threshold,
-        )
-
-        union = volume.selected_set | churn.selected_set
-        with span(
-            "theta_hm", input_hosts=len(union), backend=config.hm_backend
-        ) as s:
-            hm = theta_hm(
-                store,
-                union,
-                percentile=config.hm_percentile,
-                cut_fraction=config.hm_cut_fraction,
-                log_scale=config.hm_log_scale,
-                backend=config.hm_backend,
-                exact=config.hm_exact,
-                features=features,
-            )
-            s.set(
-                surviving_hosts=len(hm.selected_set),
-                threshold=hm.threshold,
-            )
-        _record_stage(
-            "theta_hm", len(union), len(hm.selected_set), hm.threshold
-        )
+        result = score_features(features, hosts, config)
         degradations = guard.degradations[degradations_before:]
-        root.set(suspects=len(hm.selected_set), degradations=len(degradations))
-    return PipelineResult(
-        input_hosts=frozenset(hosts),
-        reduction=reduction,
-        volume=volume,
-        churn=churn,
-        hm=hm,
-        degradations=degradations,
-    )
+        root.set(
+            suspects=len(result.suspects), degradations=len(degradations)
+        )
+    return replace(result, degradations=degradations)

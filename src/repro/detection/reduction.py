@@ -11,10 +11,9 @@ P2P hosts.  The threshold is recomputed for every day of traffic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Optional
 
-from ..flows.metrics import HostFeatures, failed_connection_rate
-from ..flows.store import FlowStore
+from ..flows.metrics import HostFeatures
 from ..stats.thresholds import percentile_threshold, select_above
 from .testbase import TestResult
 
@@ -22,56 +21,43 @@ __all__ = ["failed_rates", "initial_data_reduction"]
 
 
 def failed_rates(
-    store: FlowStore,
-    hosts: Iterable[str],
-    features: Optional[Mapping[str, HostFeatures]] = None,
+    features: Mapping[str, HostFeatures], hosts: Iterable[str]
 ) -> Dict[str, float]:
     """Failed-connection rate per host, for hosts with ≥1 successful flow.
 
     Hosts that never initiated a successful connection are excluded, as
     in the paper ("Only hosts that initiated successful connections
-    within that day were included").  With ``features`` the rates are
-    read off pre-extracted bundles instead of re-scanning the store;
-    ``initiated_successful`` encodes the same exclusion.
+    within that day were included"); so are hosts without a feature
+    bundle, i.e. without any initiated flow.
     """
     rates: Dict[str, float] = {}
-    if features is not None:
-        for host in hosts:
-            bundle = features.get(host)
-            if bundle is not None and bundle.initiated_successful:
-                rates[host] = bundle.failed_conn_rate
-        return rates
     for host in hosts:
-        flows = store.flows_from(host)
-        if not flows:
-            continue
-        if all(f.failed for f in flows):
-            continue
-        rates[host] = failed_connection_rate(flows)
+        bundle = features.get(host)
+        if bundle is not None and bundle.initiated_successful:
+            rates[host] = bundle.failed_conn_rate
     return rates
 
 
 def initial_data_reduction(
-    store: FlowStore,
-    hosts: Optional[Set[str]] = None,
+    features: Mapping[str, HostFeatures],
+    hosts: Optional[Iterable[str]] = None,
     percentile: float = 50.0,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> TestResult:
     """Keep hosts whose failed-connection rate exceeds the percentile.
 
     Parameters
     ----------
-    store:
-        The traffic Λ for the detection window.
+    features:
+        Per-host feature bundles of the detection window's traffic Λ.
     hosts:
-        Candidate hosts (default: every initiator in the store).
+        Candidate hosts (default: every host with a bundle).
     percentile:
         Percentile of the per-host failed-connection rate used as the
         cutoff; the paper uses the median (50).
     """
     if hosts is None:
-        hosts = store.initiators
-    rates = failed_rates(store, hosts, features)
+        hosts = features
+    rates = failed_rates(features, hosts)
     if not rates:
         return TestResult(
             name="reduction", selected=frozenset(), threshold=0.0, metric={}

@@ -9,10 +9,9 @@ dynamically chosen threshold τ_vol are retained as Plotter-like.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping
 
-from ..flows.metrics import HostFeatures, average_flow_size
-from ..flows.store import FlowStore
+from ..flows.metrics import HostFeatures
 from ..stats.thresholds import percentile_threshold, select_below
 from .testbase import TestResult
 
@@ -20,36 +19,24 @@ __all__ = ["volume_metric", "theta_vol"]
 
 
 def volume_metric(
-    store: FlowStore,
-    hosts: Iterable[str],
-    features: Optional[Mapping[str, HostFeatures]] = None,
+    features: Mapping[str, HostFeatures], hosts: Iterable[str]
 ) -> Dict[str, float]:
     """Average uploaded bytes per flow, per host.
 
-    With ``features`` (pre-extracted bundles, e.g. from the parallel
-    engine) the metric is read off the bundles instead of re-scanning
-    the store; hosts absent from the map are hosts without flows, which
-    the store scan would skip too.
+    Hosts without a feature bundle (no initiated flow) are skipped.
     """
     metric: Dict[str, float] = {}
-    if features is not None:
-        for host in hosts:
-            bundle = features.get(host)
-            if bundle is not None:
-                metric[host] = bundle.avg_flow_size
-        return metric
     for host in hosts:
-        flows = store.flows_from(host)
-        if flows:
-            metric[host] = average_flow_size(flows)
+        bundle = features.get(host)
+        if bundle is not None:
+            metric[host] = bundle.avg_flow_size
     return metric
 
 
 def theta_vol(
-    store: FlowStore,
-    hosts: Set[str],
+    features: Mapping[str, HostFeatures],
+    hosts: Iterable[str],
     percentile: float = 50.0,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> TestResult:
     """Select hosts whose average flow size is below τ_vol.
 
@@ -57,7 +44,7 @@ def theta_vol(
     input hosts — the paper's dynamic-threshold construction, which a
     Plotter cannot observe from inside one host (§VI).
     """
-    metric = volume_metric(store, hosts, features)
+    metric = volume_metric(features, hosts)
     if not metric:
         return TestResult(name="volume", selected=frozenset(), threshold=0.0)
     threshold = percentile_threshold(list(metric.values()), percentile)

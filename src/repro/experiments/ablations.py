@@ -25,15 +25,14 @@ from ..baselines.entropy import EntropyDetector
 from ..baselines.failedconn import FailedConnDetector
 from ..baselines.tdg import TdgDetector
 from ..baselines.volume_only import VolumeOnlyDetector
-from ..detection.churn import theta_churn
-from ..detection.humanmachine import MIN_SAMPLES, host_histograms
+from ..detection.churn import churn_metric, theta_churn
+from ..detection.humanmachine import MIN_SAMPLES, theta_hm
 from ..detection.pipeline import PipelineConfig, find_plotters
 from ..detection.reduction import initial_data_reduction
-from ..detection.volume import theta_vol
-from ..flows.metrics import interstitial_times
+from ..detection.volume import theta_vol, volume_metric
 from ..stats.clustering import agglomerate, cluster_diameter, cut_top_links
 from ..stats.histogram import Histogram, build_histogram
-from ..stats.thresholds import percentile_threshold
+from ..stats.thresholds import percentile_threshold, select_below
 from .config import ExperimentContext
 from .tables import render_table
 
@@ -142,14 +141,15 @@ def _hm_selected(
     """θ_hm with pluggable binning/distance, on the day's usual input."""
     from ..stats.emd import emd_1d
 
-    overlaid = ctx.overlaid_day(day)
+    features = ctx.features(day)
     result = ctx.pipeline_result(day)
     union = sorted(result.union_vol_churn)
     metric = distance if distance is not None else emd_1d
 
     histograms: Dict[str, Histogram] = {}
     for host in union:
-        samples = interstitial_times(overlaid.store.flows_from(host))
+        bundle = features.get(host)
+        samples = list(bundle.interstitials) if bundle is not None else []
         if len(samples) < MIN_SAMPLES:
             continue
         if log_scale:
@@ -228,18 +228,13 @@ def run_ablation_thresholds(ctx: ExperimentContext) -> AblationResult:
         return ctx.pipeline_result(day).suspects
 
     def fixed(day: int) -> Set[str]:
-        overlaid = ctx.overlaid_day(day)
+        features = ctx.features(day)
         hosts = ctx.campus_day(day).all_hosts
-        reduced = initial_data_reduction(overlaid.store, hosts).selected_set
-        from ..stats.thresholds import select_below
-        from ..detection.volume import volume_metric
-        from ..detection.churn import churn_metric
-        from ..detection.humanmachine import theta_hm
-
-        vol_sel = select_below(volume_metric(overlaid.store, reduced), fixed_vol)
-        churn_sel = select_below(churn_metric(overlaid.store, reduced), fixed_churn)
+        reduced = initial_data_reduction(features, hosts).selected_set
+        vol_sel = select_below(volume_metric(features, reduced), fixed_vol)
+        churn_sel = select_below(churn_metric(features, reduced), fixed_churn)
         hm = theta_hm(
-            overlaid.store,
+            features,
             vol_sel | churn_sel,
             percentile=ctx.config.pipeline.hm_percentile,
             cut_fraction=ctx.config.pipeline.hm_cut_fraction,
@@ -261,16 +256,16 @@ def run_ablation_composition(ctx: ExperimentContext) -> AblationResult:
     """
 
     def volume_alone(day: int) -> Set[str]:
-        overlaid = ctx.overlaid_day(day)
+        features = ctx.features(day)
         hosts = ctx.campus_day(day).all_hosts
-        reduced = initial_data_reduction(overlaid.store, hosts).selected_set
-        return theta_vol(overlaid.store, reduced).selected_set
+        reduced = initial_data_reduction(features, hosts).selected_set
+        return theta_vol(features, reduced).selected_set
 
     def churn_alone(day: int) -> Set[str]:
-        overlaid = ctx.overlaid_day(day)
+        features = ctx.features(day)
         hosts = ctx.campus_day(day).all_hosts
-        reduced = initial_data_reduction(overlaid.store, hosts).selected_set
-        return theta_churn(overlaid.store, reduced).selected_set
+        reduced = initial_data_reduction(features, hosts).selected_set
+        return theta_churn(features, reduced).selected_set
 
     def composition(day: int) -> Set[str]:
         return ctx.pipeline_result(day).suspects

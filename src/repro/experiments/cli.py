@@ -29,7 +29,6 @@ import time
 from typing import Callable, Dict
 
 from .. import obs
-from ..stats.emd import PAIRWISE_BACKENDS
 
 from .ablations import (
     run_ablation_binning,
@@ -132,24 +131,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--hm-backend",
-        choices=PAIRWISE_BACKENDS,
-        default=None,
-        help=(
-            "pairwise-EMD engine for theta_hm (default auto, which "
-            "escalates loop -> vectorized -> parallel -> pruned by "
-            "population size; all engines yield identical suspects)"
-        ),
-    )
-    parser.add_argument(
-        "--hm-exact",
-        action="store_true",
-        help=(
-            "forbid the pruned theta_hm engine (auto then stops "
-            "escalating at parallel) — the exactness escape hatch"
-        ),
-    )
-    parser.add_argument(
         "--store-dir",
         metavar="DIR",
         help=(
@@ -182,14 +163,11 @@ def main(argv=None) -> int:
     config = (
         ExperimentConfig.paper() if args.scale == "paper" else ExperimentConfig.quick()
     )
-    if args.no_degrade or args.store_dir or args.hm_backend or args.hm_exact:
+    if args.no_degrade or args.store_dir:
         overrides = dict(
             degrade=not args.no_degrade,
             store_dir=args.store_dir,
-            hm_exact=args.hm_exact,
         )
-        if args.hm_backend is not None:
-            overrides["hm_backend"] = args.hm_backend
         if args.segment_rows is not None:
             overrides["segment_rows"] = args.segment_rows
         config = dataclasses.replace(

@@ -27,6 +27,7 @@ from ..datasets.honeynet import (
 )
 from ..datasets.overlay import OverlaidDay, overlay_traces
 from ..detection.pipeline import PipelineConfig, PipelineResult, find_plotters
+from ..flows.metrics import HostFeatures, extract_features_sharded
 from ..netsim.rng import substream
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "context_from_env"]
@@ -77,6 +78,7 @@ class ExperimentContext:
         self.is_paper_scale = config.is_paper_scale
         self._campus: Dict[int, CampusDay] = {}
         self._overlaid: Dict[int, OverlaidDay] = {}
+        self._features: Dict[int, Dict[str, HostFeatures]] = {}
         self._pipeline: Dict[int, PipelineResult] = {}
         self._traders: Dict[int, Dict[str, str]] = {}
         self._storm: Optional[HoneynetTrace] = None
@@ -143,6 +145,18 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
+    def features(self, day: int) -> Dict[str, HostFeatures]:
+        """Per-host feature bundles of the overlaid day (cached).
+
+        Experiments that run single stages or sweep thresholds read
+        these instead of re-scanning the store.
+        """
+        if day not in self._features:
+            self._features[day] = extract_features_sharded(
+                self.overlaid_day(day).store, self.campus_day(day).all_hosts
+            )
+        return self._features[day]
+
     def pipeline_result(self, day: int) -> PipelineResult:
         """FindPlotters on the overlaid day at the default thresholds."""
         if day not in self._pipeline:

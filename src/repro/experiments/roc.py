@@ -44,10 +44,10 @@ def _metric_roc(
     }
     n_days = len(ctx.days)
     for day in ctx.days:
-        overlaid = ctx.overlaid_day(day)
+        features = ctx.features(day)
         hosts = ctx.campus_day(day).all_hosts
-        reduced = initial_data_reduction(overlaid.store, hosts).selected_set
-        metric = metric_fn(overlaid.store, reduced)
+        reduced = initial_data_reduction(features, hosts).selected_set
+        metric = metric_fn(features, reduced)
         values = list(metric.values())
         plotters = {
             "storm": ctx.plotters(day, "storm"),
@@ -113,10 +113,9 @@ def run_fig8_roc_hm(ctx: ExperimentContext) -> RocResult:
     }
     n_days = len(ctx.days)
     for day in ctx.days:
-        overlaid = ctx.overlaid_day(day)
         result = ctx.pipeline_result(day)
         union = result.union_vol_churn
-        histograms = host_histograms(overlaid.store, sorted(union))
+        histograms = host_histograms(ctx.features(day), sorted(union))
         # The dendrogram does not depend on τ_hm: cluster once, then
         # sweep only the diameter threshold.
         clustering = cluster_hosts(

@@ -66,11 +66,6 @@ class StreamingHostState:
     last_start: Dict[str, float] = field(default_factory=dict)
     reservoir: List[float] = field(default_factory=list)
     samples_seen: int = 0
-    #: Incremented whenever the reservoir *contents* change (append or
-    #: replacement).  Skipped samples leave it untouched, so downstream
-    #: caches keyed on the version stay valid exactly as long as the
-    #: host's interstitial sample set is unchanged.
-    reservoir_version: int = 0
 
 
 class StreamingFeatureExtractor:
@@ -162,13 +157,11 @@ class StreamingFeatureExtractor:
         state.samples_seen += 1
         if len(state.reservoir) < self.reservoir_size:
             state.reservoir.append(gap)
-            state.reservoir_version += 1
             return
         # Vitter's algorithm R: replace with probability k/n.
         index = self._rng.randrange(state.samples_seen)
         if index < self.reservoir_size:
             state.reservoir[index] = gap
-            state.reservoir_version += 1
 
     # ------------------------------------------------------------------
     # Read out
@@ -221,16 +214,6 @@ class StreamingFeatureExtractor:
             if elapsed > 0:
                 _INGEST_RATE.set(self._ingested / elapsed)
         return {host: self.features(host) for host in self._hosts}
-
-    def reservoir_version(self, host: str) -> int:
-        """Version counter of the host's interstitial reservoir.
-
-        Changes iff the reservoir contents changed; two calls returning
-        the same value guarantee the sample set (and hence any histogram
-        built from it) is unchanged.  Raises ``KeyError`` for a host
-        never seen.
-        """
-        return self._hosts[host].reservoir_version
 
     def state_size(self, host: str) -> Tuple[int, int]:
         """(destination-map entries, reservoir entries) for one host."""

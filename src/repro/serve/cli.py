@@ -33,10 +33,8 @@ import threading
 from pathlib import Path
 from typing import List, Optional
 
-from ..detection.pipeline import PipelineConfig
 from ..obs.session import ObsSession, add_observability_args
 from ..resilience import atomic_write_text
-from ..stats.emd import PAIRWISE_BACKENDS
 from .config import ServeConfig
 from .coordinator import ServeCoordinator
 from .ha import run_ha
@@ -106,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="spool segment cut threshold in rows (default: storage "
         "plane default)",
-    )
-    parser.add_argument(
-        "--hm-backend",
-        choices=sorted(PAIRWISE_BACKENDS),
-        default="auto",
-        help="pairwise-EMD engine for theta_hm (default: auto)",
     )
     parser.add_argument(
         "--on-parse-error",
@@ -198,7 +190,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         port=args.port,
         host=args.host,
         segment_rows=args.segment_rows,
-        pipeline=PipelineConfig(hm_backend=args.hm_backend),
         on_parse_error=args.on_parse_error,
         durable_acks=not args.volatile_acks,
         max_backlog_rows=args.max_backlog_rows,

@@ -3,9 +3,7 @@
 from .histogram import Histogram, build_histogram, freedman_diaconis_width
 from .emd import (
     PAIRWISE_BACKENDS,
-    PARALLEL_MIN_HOSTS,
     PRUNED_MIN_HOSTS,
-    VECTORIZED_MIN_HOSTS,
     emd,
     emd_1d,
     emd_transport,
@@ -62,8 +60,6 @@ __all__ = [
     "resolve_backend",
     "signature_arrays",
     "PAIRWISE_BACKENDS",
-    "VECTORIZED_MIN_HOSTS",
-    "PARALLEL_MIN_HOSTS",
     "PRUNED_MIN_HOSTS",
     "EmdIndex",
     "PruneReport",

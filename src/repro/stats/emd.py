@@ -17,15 +17,10 @@ Three per-pair solvers are provided:
 θ_hm needs the full pairwise matrix over a host population, which is the
 pipeline's hot path.  :func:`pairwise_emd` dispatches between backends:
 
-* ``"loop"`` — the original per-pair Python loop, kept as the reference
-  implementation;
 * ``"vectorized"`` — pads all signatures into dense ``(n_hosts,
   max_bins)`` position/weight arrays and evaluates the merged-CDF
   integral for whole blocks of pairs with numpy array ops (no per-pair
   Python calls);
-* ``"parallel"`` — the vectorized kernel fanned out over a
-  ``multiprocessing`` pool in chunks of pairs, for host populations
-  large enough to amortise worker startup;
 * ``"pruned"`` — candidate-pruned: pairs whose exact EMD is derivable
   without the kernel (disjoint-support pairs, where 1-D EMD collapses
   to the difference of means) are filled from the closed form and only
@@ -33,23 +28,21 @@ pipeline's hot path.  :func:`pairwise_emd` dispatches between backends:
   (see :mod:`repro.stats.emdindex`; θ_hm additionally uses the index's
   certified group decomposition, which skips inter-group pairs
   entirely);
-* ``"auto"`` (default) — escalates loop → vectorized → parallel →
-  pruned by population size (see :func:`resolve_backend`).
+* ``"auto"`` (default) — ``vectorized`` below ``PRUNED_MIN_HOSTS``
+  hosts, ``pruned`` from there up (see :func:`resolve_backend`);
+* ``"loop"`` — the original per-pair Python loop, kept as the test
+  oracle; only an explicit ``backend="loop"`` reaches it.
 
 All backends produce the exact distance — they integrate the same
 merged CDF (or an algebraically equal closed form), differing only in
 summation order (float dust at the 1e-15 scale); equivalence is pinned
-by the test suite at ``atol=1e-12``.  ``exact=True`` is the escape
-hatch that forbids the pruned engine (resolving it to the best
-non-pruned backend) for correctness bisects.
+by the test suite at ``atol=1e-12``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -65,22 +58,15 @@ __all__ = [
     "resolve_backend",
     "signature_arrays",
     "PAIRWISE_BACKENDS",
-    "VECTORIZED_MIN_HOSTS",
-    "PARALLEL_MIN_HOSTS",
     "PRUNED_MIN_HOSTS",
 ]
 
 #: Backends accepted by :func:`pairwise_emd`.
-PAIRWISE_BACKENDS = ("auto", "loop", "vectorized", "parallel", "pruned")
+PAIRWISE_BACKENDS = ("auto", "loop", "vectorized", "pruned")
 
-#: ``"auto"`` escalation boundaries, in host counts.  Below
-#: ``VECTORIZED_MIN_HOSTS`` the per-pair Python loop wins (dense
-#: packing and scratch allocation outweigh a handful of pairs); from
-#: ``PARALLEL_MIN_HOSTS`` a multi-core machine amortises pool startup
-#: over the O(n²) work split; from ``PRUNED_MIN_HOSTS`` the
-#: candidate-pruning index amortises its O(n·bins) build cost.
-VECTORIZED_MIN_HOSTS = 4
-PARALLEL_MIN_HOSTS = 1500
+#: ``"auto"`` switches from the vectorized kernel to the
+#: candidate-pruning index at this host count, where the index
+#: amortises its O(n·bins) build cost.
 PRUNED_MIN_HOSTS = 4000
 
 #: Target float64 elements per vectorized block.  Chosen so one block's
@@ -91,9 +77,6 @@ _BLOCK_ELEMENTS = 131_072
 # Kernel telemetry (no-ops while repro.obs is disabled; the per-block
 # timing additionally hoists the enabled check out of the hot loop so
 # disabled-mode cost is one boolean per _condensed_blocks call).
-# Metrics are process-local: under the parallel backend the workers'
-# block counters stay in the workers — the parent records the coarse
-# facts (backend, pair count) that matter for capacity planning.
 _BACKEND_SELECTED = obs_metrics.counter(
     "repro_emd_backend_selected_total",
     "pairwise_emd invocations by resolved backend",
@@ -346,139 +329,45 @@ def _pairwise_vectorized(histograms: Sequence[Histogram]) -> np.ndarray:
     return matrix
 
 
-# ----------------------------------------------------------------------
-# Parallel backend
-# ----------------------------------------------------------------------
-# Workers receive the dense arrays once through the pool initializer
-# (inherited for free under fork, pickled once per worker under spawn)
-# instead of per task, so each chunk submission ships only two ints.
-_WORKER_STATE: dict = {}
-
-
-def _parallel_init(
-    positions: np.ndarray, weights: np.ndarray, bins: np.ndarray, n: int
-) -> None:
-    _WORKER_STATE["positions"] = positions
-    _WORKER_STATE["weights"] = weights
-    _WORKER_STATE["bins"] = bins
-    _WORKER_STATE["pairs"] = _colmajor_pairs(n)
-
-
-def _parallel_chunk(bounds: Tuple[int, int]) -> np.ndarray:
-    start, stop = bounds
-    rows, cols = _WORKER_STATE["pairs"]
-    return _condensed_blocks(
-        _WORKER_STATE["positions"],
-        _WORKER_STATE["weights"],
-        _WORKER_STATE["bins"],
-        rows[start:stop],
-        cols[start:stop],
-    )
-
-
-def _pairwise_parallel(
-    histograms: Sequence[Histogram],
-    n_workers: Optional[int] = None,
-) -> np.ndarray:
-    n = len(histograms)
-    matrix = np.zeros((n, n), dtype=float)
-    if n < 2:
-        return matrix
-    workers = n_workers or os.cpu_count() or 1
-    if workers <= 1:
-        return _pairwise_vectorized(histograms)
-
-    order, positions, weights, bins = _sorted_signatures(histograms)
-    rows, cols = _colmajor_pairs(n)
-    n_pairs = len(rows)
-    # Several chunks per worker so an uneven pair distribution still
-    # load-balances, but never smaller than one cache-sized block.
-    step = max(
-        _block_rows(positions.shape[1]), -(-n_pairs // (4 * workers))
-    )
-    chunks = [
-        (start, min(start + step, n_pairs))
-        for start in range(0, n_pairs, step)
-    ]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_parallel_init,
-        initargs=(positions, weights, bins, n),
-    ) as pool:
-        parts: List[np.ndarray] = list(pool.map(_parallel_chunk, chunks))
-    condensed = np.concatenate(parts) if parts else np.zeros(0)
-    o_rows = order[rows]
-    o_cols = order[cols]
-    matrix[o_rows, o_cols] = condensed
-    matrix[o_cols, o_rows] = condensed
-    return matrix
-
-
-def resolve_backend(
-    backend: str,
-    n_hosts: int,
-    cores: Optional[int] = None,
-    exact: bool = False,
-) -> str:
+def resolve_backend(backend: str, n_hosts: int) -> str:
     """The concrete engine ``pairwise_emd`` will run for this request.
 
-    Resolution is a pure function of the request — host count, core
-    count, the ``exact`` escape hatch — so callers (``cluster_hosts``,
-    the benchmarks, the boundary unit tests) can observe and pin the
-    escalation instead of inferring it from counters.  ``"auto"``
-    escalates loop → vectorized → parallel → pruned at
-    ``VECTORIZED_MIN_HOSTS`` / ``PARALLEL_MIN_HOSTS`` /
-    ``PRUNED_MIN_HOSTS``; parallel additionally needs more than one
-    core.  ``exact=True`` forbids the pruned engine: an explicit or
-    escalated ``"pruned"`` resolves to the best non-pruned backend for
-    the same population instead.
+    Resolution is a pure function of the backend name and the host
+    count, so callers (``cluster_hosts``, the benchmarks, the boundary
+    unit tests) can observe and pin it instead of inferring it from
+    counters.  ``"auto"`` resolves to ``"vectorized"`` below
+    ``PRUNED_MIN_HOSTS`` hosts and to ``"pruned"`` from there up; an
+    explicit backend passes through unchanged.
     """
     if backend not in PAIRWISE_BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {PAIRWISE_BACKENDS}"
         )
-    if cores is None:
-        cores = os.cpu_count() or 1
-    if exact and backend == "pruned":
-        backend = "auto"
     if backend != "auto":
         return backend
-    if not exact and n_hosts >= PRUNED_MIN_HOSTS:
-        return "pruned"
-    if n_hosts >= PARALLEL_MIN_HOSTS and cores > 1:
-        return "parallel"
-    if n_hosts >= VECTORIZED_MIN_HOSTS:
-        return "vectorized"
-    return "loop"
+    return "pruned" if n_hosts >= PRUNED_MIN_HOSTS else "vectorized"
 
 
 def pairwise_emd(
-    histograms: Sequence[Histogram],
-    backend: str = "auto",
-    n_workers: Optional[int] = None,
-    exact: bool = False,
+    histograms: Sequence[Histogram], backend: str = "auto"
 ) -> np.ndarray:
     """Symmetric matrix of EMDs between all pairs of histograms.
 
-    ``backend`` selects the engine (see module docstring): ``"loop"``
-    is the per-pair reference, ``"vectorized"`` the batched merged-CDF
-    kernel, ``"parallel"`` the multiprocessing fan-out, ``"pruned"``
-    the candidate-pruned engine (closed-form fill for disjoint-support
-    pairs, kernel for the rest), and ``"auto"`` escalates between them
-    by population size (see :func:`resolve_backend`).  Every backend
-    returns the exact matrix.  ``n_workers`` caps the pool for the
-    parallel backend; ``exact=True`` forbids the pruned engine.
+    ``backend`` selects the engine (see module docstring):
+    ``"vectorized"`` the batched merged-CDF kernel, ``"pruned"`` the
+    candidate-pruned engine (closed-form fill for disjoint-support
+    pairs, kernel for the rest), ``"loop"`` the per-pair reference, and
+    ``"auto"`` picks by population size (see :func:`resolve_backend`).
+    Every backend returns the exact matrix.
     """
-    backend = resolve_backend(backend, len(histograms), exact=exact)
+    backend = resolve_backend(backend, len(histograms))
     n = len(histograms)
     _BACKEND_SELECTED.inc(backend=backend)
     _PAIRS_TOTAL.inc(n * (n - 1) // 2, backend=backend)
     if backend == "loop":
         return _pairwise_loop(histograms)
-    if backend == "vectorized":
-        return _pairwise_vectorized(histograms)
     if backend == "pruned":
         from .emdindex import pruned_matrix
 
         return pruned_matrix(histograms)
-    return _pairwise_parallel(histograms, n_workers=n_workers)
+    return _pairwise_vectorized(histograms)

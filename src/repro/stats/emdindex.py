@@ -562,10 +562,9 @@ def _exact_partition(
 ) -> Tuple[List[List[int]], Tuple[float, ...]]:
     """The reference path: full exact matrix, UPGMA, top-fraction cut."""
     from .clustering import cluster_diameters
-    from .emd import pairwise_emd, resolve_backend
+    from .emd import pairwise_emd
 
-    backend = resolve_backend("auto", len(histograms), exact=True)
-    distance = pairwise_emd(histograms, backend=backend)
+    distance = pairwise_emd(histograms, backend="vectorized")
     member_lists = cut_top_links(average_linkage(distance), cut_fraction)
     diameters = cluster_diameters(distance, member_lists)
     return member_lists, diameters

@@ -121,9 +121,14 @@ def build_histogram(samples: Sequence[float]) -> Histogram:
     width = freedman_diaconis_width(data)
     lo = float(data.min())
     hi = float(data.max())
-    n_bins = max(1, int(math.ceil((hi - lo) / width)))
-    # Guard against pathological widths producing an absurd bin count.
-    n_bins = min(n_bins, max(1, int(data.size) * 4), 100_000)
+    # Guard against pathological widths producing an absurd bin count
+    # (a subnormal IQR makes the ratio overflow to infinity).
+    max_bins = min(max(1, int(data.size) * 4), 100_000)
+    ratio = (hi - lo) / width
+    if math.isfinite(ratio):
+        n_bins = min(max(1, int(math.ceil(ratio))), max_bins)
+    else:
+        n_bins = max_bins
     counts, edges = np.histogram(data, bins=n_bins, range=(lo, hi))
     centers_all = (edges[:-1] + edges[1:]) / 2.0
     mask = counts > 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.detection import (
-    PipelineConfig,
     explain_host,
     find_plotters,
     format_explanation,
@@ -13,16 +12,16 @@ from repro.detection import (
 @pytest.fixture(scope="module")
 def explained(overlaid_day, campus_day):
     result = find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
-    return result, overlaid_day.store, campus_day
+    return result, campus_day
 
 
 class TestExplainHost:
     def test_flagged_host_has_full_trail(self, explained):
-        result, store, campus = explained
+        result, campus = explained
         if not result.suspects:
             pytest.skip("no suspects at this tiny scale")
         host = sorted(result.suspects)[0]
-        explanation = explain_host(result, store, host)
+        explanation = explain_host(result, host)
         assert explanation.flagged
         stage_names = [s.stage for s in explanation.stages]
         assert stage_names[0] == "reduction"
@@ -35,22 +34,22 @@ class TestExplainHost:
         assert by_name["human-machine"].passed
 
     def test_unflagged_host_names_failed_stage(self, explained):
-        result, store, campus = explained
+        result, campus = explained
         cleared = sorted(campus.all_hosts - result.suspects)[0]
-        explanation = explain_host(result, store, cleared)
+        explanation = explain_host(result, cleared)
         assert not explanation.flagged
         assert explanation.failed_stage is not None
 
     def test_silent_host_not_evaluated(self, explained):
-        result, store, _campus = explained
-        explanation = explain_host(result, store, "10.99.99.99")
+        result, _campus = explained
+        explanation = explain_host(result, "10.99.99.99")
         assert not explanation.flagged
         assert all(not s.passed for s in explanation.stages)
 
     def test_cluster_members_are_other_hosts(self, explained):
-        result, store, _campus = explained
+        result, _campus = explained
         for host in sorted(result.suspects):
-            explanation = explain_host(result, store, host)
+            explanation = explain_host(result, host)
             assert host not in explanation.cluster_members
             # Flagged hosts sit in >= 2-host clusters by construction.
             assert explanation.cluster_members
@@ -60,54 +59,34 @@ class TestClusterReuse:
     def test_result_carries_the_pipeline_clustering(self, explained):
         from repro.detection.humanmachine import HmClustering
 
-        result, _store, _campus = explained
+        result, _campus = explained
         assert isinstance(result.hm.detail, HmClustering)
 
     def test_explain_reuses_it_without_reclustering(
         self, explained, monkeypatch
     ):
-        import repro.detection.explain as explain_mod
+        import repro.detection.humanmachine as hm_mod
 
-        result, store, _campus = explained
+        result, _campus = explained
         if not result.suspects:
             pytest.skip("no suspects at this tiny scale")
 
         def boom(*args, **kwargs):
             raise AssertionError("explain_host re-ran cluster_hosts")
 
-        monkeypatch.setattr(explain_mod, "cluster_hosts", boom)
-        monkeypatch.setattr(explain_mod, "host_histograms", boom)
+        monkeypatch.setattr(hm_mod, "cluster_hosts", boom)
+        monkeypatch.setattr(hm_mod, "host_histograms", boom)
         host = sorted(result.suspects)[0]
-        explanation = explain_host(result, store, host)
+        explanation = explain_host(result, host)
         assert explanation.flagged
         assert explanation.cluster_members
-
-    def test_fallback_recomputes_when_detail_absent(self, explained):
-        import dataclasses
-
-        result, store, _campus = explained
-        if not result.suspects:
-            pytest.skip("no suspects at this tiny scale")
-        stripped = dataclasses.replace(
-            result, hm=dataclasses.replace(result.hm, detail=None)
-        )
-        host = sorted(result.suspects)[0]
-        # Old-style results (no carried clustering) still explain, by
-        # re-clustering from the store — and land on the same evidence.
-        fresh = explain_host(stripped, store, host)
-        carried = explain_host(result, store, host)
-        assert fresh.cluster_members == carried.cluster_members
-        assert fresh.cluster_diameter == pytest.approx(
-            carried.cluster_diameter
-        )
-        assert fresh.flagged == carried.flagged
 
 
 class TestFormatting:
     def test_render_contains_verdict_and_comparisons(self, explained):
-        result, store, campus = explained
+        result, campus = explained
         host = sorted(campus.all_hosts)[0]
-        text = format_explanation(explain_host(result, store, host))
+        text = format_explanation(explain_host(result, host))
         assert text.startswith(f"host {host}:")
         assert "reduction" in text
         assert "<" in text or ">" in text or "not evaluated" in text

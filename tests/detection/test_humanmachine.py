@@ -10,7 +10,12 @@ from repro.detection.humanmachine import (
     theta_hm,
 )
 from repro.flows import FlowRecord, FlowStore, Protocol
+from repro.flows.metrics import extract_all_features
 from repro.stats.histogram import build_histogram
+
+
+def features_of(records):
+    return extract_all_features(FlowStore(records))
 
 
 def periodic_flows(src, period, n, phase=0.0, dst="peer"):
@@ -40,17 +45,17 @@ def irregular_flows(src, seed, n, dst="site"):
 
 class TestHostHistograms:
     def test_min_samples_enforced(self):
-        store = FlowStore(periodic_flows("few", 10.0, 3))
-        assert host_histograms(store, ["few"]) == {}
+        features = features_of(periodic_flows("few", 10.0, 3))
+        assert host_histograms(features, ["few"]) == {}
 
     def test_log_scale_positions(self):
-        store = FlowStore(periodic_flows("bot", 100.0, 50))
-        hist = host_histograms(store, ["bot"])["bot"]
+        features = features_of(periodic_flows("bot", 100.0, 50))
+        hist = host_histograms(features, ["bot"])["bot"]
         assert hist.centers[0] == pytest.approx(2.0, abs=0.1)  # log10(100)
 
     def test_raw_scale_positions(self):
-        store = FlowStore(periodic_flows("bot", 100.0, 50))
-        hist = host_histograms(store, ["bot"], log_scale=False)["bot"]
+        features = features_of(periodic_flows("bot", 100.0, 50))
+        hist = host_histograms(features, ["bot"], log_scale=False)["bot"]
         assert hist.centers[0] == pytest.approx(100.0, abs=1.0)
 
 
@@ -121,12 +126,11 @@ class TestClusterHosts:
             flows += periodic_flows(f"bot{i}", 30.0, 60, phase=i * 0.1)
         for i in range(3):
             flows += irregular_flows(f"human{i}", seed=i + 1, n=60)
-        store = FlowStore(flows)
         hosts = [f"bot{i}" for i in range(3)] + [f"human{i}" for i in range(3)]
-        histograms = host_histograms(store, hosts)
+        histograms = host_histograms(features_of(flows), hosts)
         results = [
             cluster_hosts(histograms, 70.0, backend=backend)
-            for backend in ("loop", "vectorized", "parallel")
+            for backend in ("loop", "vectorized", "pruned")
         ]
         assert results[0].clusters == results[1].clusters == results[2].clusters
         assert results[0].kept == results[1].kept == results[2].kept
@@ -137,9 +141,8 @@ class TestClusterHosts:
             flows += periodic_flows(f"bot{i}", 30.0, 60, phase=i * 0.1)
         for i in range(4):
             flows += irregular_flows(f"human{i}", seed=i + 1, n=60)
-        store = FlowStore(flows)
         hosts = [f"bot{i}" for i in range(4)] + [f"human{i}" for i in range(4)]
-        histograms = host_histograms(store, hosts)
+        histograms = host_histograms(features_of(flows), hosts)
         clustering = cluster_hosts(histograms, 70.0, cut_fraction=0.3)
         bot_cluster = next(
             (c for c in clustering.clusters if "bot0" in c), None
@@ -155,9 +158,10 @@ class TestThetaHm:
             flows += periodic_flows(f"bot{i}", 25.0, 80, phase=i * 0.2)
         for i in range(8):
             flows += irregular_flows(f"human{i}", seed=10 + 3 * i, n=80)
-        store = FlowStore(flows)
         hosts = {f"bot{i}" for i in range(5)} | {f"human{i}" for i in range(8)}
-        result = theta_hm(store, hosts, percentile=30.0, cut_fraction=0.3)
+        result = theta_hm(
+            features_of(flows), hosts, percentile=30.0, cut_fraction=0.3
+        )
         bots = {f"bot{i}" for i in range(5)}
         assert bots <= result.selected_set
         humans_kept = result.selected_set - bots
@@ -167,12 +171,13 @@ class TestThetaHm:
         flows = []
         for i in range(3):
             flows += periodic_flows(f"bot{i}", 25.0, 40, phase=i * 0.2)
-        store = FlowStore(flows)
-        result = theta_hm(store, {f"bot{i}" for i in range(3)}, 70.0)
+        result = theta_hm(
+            features_of(flows), {f"bot{i}" for i in range(3)}, 70.0
+        )
         assert set(result.metric) == {f"bot{i}" for i in range(3)}
         assert all(v >= 0 for v in result.metric.values())
 
     def test_hosts_without_samples_never_selected(self):
-        store = FlowStore(periodic_flows("bot", 25.0, 40))
-        result = theta_hm(store, {"bot", "silent"}, 70.0)
+        features = features_of(periodic_flows("bot", 25.0, 40))
+        result = theta_hm(features, {"bot", "silent"}, 70.0)
         assert "silent" not in result.selected_set

@@ -1,5 +1,7 @@
 """Tests for the sliding-window online detector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,8 +104,8 @@ class TestAgreementWithBatch:
 
 
 def _mixed_population_flows(window=1000.0):
-    """One window of timer bots plus irregular hosts, thresholds tuned so
-    several hosts reach the θ_hm histogram stage (cache misses > 0)."""
+    """One window of timer bots plus irregular hosts; with
+    ``_MIXED_CONFIG`` several hosts reach the θ_hm histogram stage."""
     rng = np.random.default_rng(42)
     flows = []
     for b in range(4):
@@ -141,88 +143,35 @@ _MIXED_HOSTS = {f"bot{b}" for b in range(4)} | {f"human{h}" for h in range(4)}
 _MIXED_CONFIG = PipelineConfig(reduction_percentile=10.0, vol_percentile=90.0)
 
 
-class TestHistogramCaching:
-    """The reservoir-version cache must never change detector output."""
+class TestOnlineEqualsBatch:
+    """Online scoring runs the batch core: with every interstitial in the
+    reservoir, a window's verdict is exactly find_plotters on its flows."""
 
-    def test_cached_matches_uncached_across_windows(
-        self, overlaid_day, campus_day
+    @pytest.mark.parametrize("apply_reduction", [True, False])
+    @pytest.mark.parametrize("thresholds", ["default", "mixed"])
+    def test_uncapped_reservoir_matches_find_plotters(
+        self, thresholds, apply_reduction
     ):
-        """Identical verdicts with and without caching, over 2 windows."""
-        runs = []
-        for cache in (True, False):
-            detector = OnlineDetector(
-                campus_day.all_hosts,
-                window=campus_day.window / 2 + 1.0,
-                cache_histograms=cache,
-            )
-            detector.ingest_many(overlaid_day.store)
-            runs.append(detector.history + [detector.evaluate()])
-        cached, uncached = runs
-        assert len(cached) == len(uncached) >= 2
-        for got, want in zip(cached, uncached):
-            assert got.window_index == want.window_index
-            assert got.reduced == want.reduced
-            assert got.suspects == want.suspects
-        # The comparison must exercise θ_hm, not vacuously agree.
-        assert any(v.suspects for v in cached)
-
-    def test_reevaluation_hits_cache(self):
-        detector = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG
-        )
-        detector.ingest_many(_mixed_population_flows())
-        first = detector.evaluate()
-        misses_after_first = detector.cache_misses
-        assert misses_after_first > 0
-        assert detector.cache_hits == 0
-        # No new flows: every histogram must come from the cache.
-        second = detector.evaluate()
-        assert second.suspects == first.suspects
-        assert detector.cache_misses == misses_after_first
-        assert detector.cache_hits == misses_after_first
-
-    def test_cache_invalidated_by_new_samples(self):
-        detector = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG
-        )
+        base = _MIXED_CONFIG if thresholds == "mixed" else PipelineConfig()
+        config = dataclasses.replace(base, apply_reduction=apply_reduction)
         flows = _mixed_population_flows()
-        detector.ingest_many(flows)
-        detector.evaluate()
-        misses = detector.cache_misses
-        # More flows for every host, still inside the [0, 1000) window:
-        # reservoirs change, so the cache must rebuild, not hit.
-        for f in flows:
-            if f.start < 500.0:
-                detector.ingest(
-                    flow(f.src, dst=f.dst, start=985.0 + f.start * 0.01)
-                )
-        detector.evaluate()
-        assert detector.cache_misses > misses
-
-    def test_disabled_cache_never_hits(self):
-        detector = OnlineDetector(
-            _MIXED_HOSTS,
-            window=1000.0,
-            config=_MIXED_CONFIG,
-            cache_histograms=False,
+        batch = find_plotters(FlowStore(flows), _MIXED_HOSTS, config)
+        online = OnlineDetector(
+            _MIXED_HOSTS, window=1000.0, config=config, reservoir_size=100_000
         )
-        detector.ingest_many(_mixed_population_flows())
-        detector.evaluate()
-        detector.evaluate()
-        assert detector.cache_hits == 0
-        assert detector.cache_misses > 0
-        assert detector._hist_cache == {}
+        online.ingest_many(flows)
+        verdict = online.evaluate()
+        assert verdict.hosts_seen == len(batch.input_hosts)
+        assert verdict.reduced == batch.reduced_hosts
+        assert verdict.suspects == batch.suspects
 
-    def test_cache_cleared_on_window_tumble(self):
-        detector = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG
+    def test_comparison_reaches_theta_hm(self):
+        """The population is not vacuous: some settings flag hosts."""
+        config = dataclasses.replace(_MIXED_CONFIG, apply_reduction=False)
+        batch = find_plotters(
+            FlowStore(_mixed_population_flows()), _MIXED_HOSTS, config
         )
-        detector.ingest_many(_mixed_population_flows())
-        detector.evaluate()
-        assert detector._hist_cache
-        # A flow past the window boundary finalises the window.
-        detector.ingest(flow("bot0", start=2500.0))
-        assert detector._hist_cache == {}
+        assert batch.suspects
 
 
 class TestVerdictCheckpointing:

@@ -39,8 +39,6 @@ class TestPipelineStructure:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PipelineConfig(hm_backend="bogus")
-        with pytest.raises(ValueError):
             PipelineConfig(segment_rows=0)
 
 

@@ -4,8 +4,9 @@ With observability enabled, a single :func:`find_plotters` call must
 produce a JSONL trace containing all four stage spans with durations
 and the host-count funnel (input → reduction → vol/churn → hm), a
 valid Prometheus exposition, and — after an :class:`OnlineDetector`
-pass — histogram-cache hit/miss counters.  With it disabled, the same
-call must emit nothing.
+pass — the online counters, with the same stage spans nested under
+``online_evaluate``.  With it disabled, the same call must emit
+nothing.
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 
 from repro import obs
 from repro.detection import OnlineDetector, find_plotters
-from repro.detection.pipeline import PipelineConfig
 
 STAGES = ("reduction", "theta_vol", "theta_churn", "theta_hm")
 
@@ -101,7 +101,7 @@ class TestObservedPipelineRun:
 
 
 class TestOnlineDetectorTelemetry:
-    def test_cache_counters_reach_registry(
+    def test_online_counters_reach_registry(
         self, enabled_obs, overlaid_day, campus_day
     ):
         detector = OnlineDetector(
@@ -111,16 +111,30 @@ class TestOnlineDetectorTelemetry:
         )
         detector.ingest_many(overlaid_day.store)
         detector.evaluate()
-        detector.evaluate()  # second pass: reservoirs unchanged → hits
+        detector.evaluate()
         s = obs.summary()
-        cache = s["repro_online_hist_cache_total"]
-        assert cache["result=miss"] == detector.cache_misses > 0
-        assert cache["result=hit"] == detector.cache_hits > 0
         assert s["repro_online_evaluations_total"][""] == 2.0
         assert s["repro_online_reservoir_samples"][""] > 0
+        assert s["repro_online_tracked_hosts"][""] > 0
         assert s["repro_flows_ingested_total"][""] == len(
             list(overlaid_day.store)
         )
+
+    def test_stage_spans_nest_under_online_evaluate(
+        self, enabled_obs, overlaid_day, campus_day
+    ):
+        memory = obs.InMemorySink()
+        obs.add_sink(memory)
+        detector = OnlineDetector(
+            campus_day.all_hosts, window=campus_day.window + 1.0
+        )
+        detector.ingest_many(overlaid_day.store)
+        verdict = detector.evaluate()
+        root = memory.by_name("online_evaluate")[-1]
+        for stage in STAGES:
+            assert memory.by_name(stage)[-1]["parent_id"] == root["span_id"]
+        assert root["attrs"]["suspects"] == len(verdict.suspects)
+        assert memory.by_name("find_plotters") == []
 
     def test_window_tumbles_counted(self, enabled_obs, overlaid_day, campus_day):
         detector = OnlineDetector(
@@ -129,24 +143,6 @@ class TestOnlineDetectorTelemetry:
         detector.ingest_many(overlaid_day.store)
         tumbles = obs.counter("repro_online_window_tumbles_total").value()
         assert tumbles == len(detector.history) > 0
-
-    def test_attribute_counters_work_while_disabled(
-        self, clean_obs, overlaid_day, campus_day
-    ):
-        """The public cache_hits/cache_misses API counts regardless."""
-        detector = OnlineDetector(
-            campus_day.all_hosts,
-            window=campus_day.window + 1.0,
-            reservoir_size=256,
-        )
-        detector.ingest_many(overlaid_day.store)
-        detector.evaluate()
-        detector.evaluate()
-        assert detector.cache_misses > 0
-        assert detector.cache_hits > 0
-        assert obs.counter(
-            "repro_online_hist_cache_total", labels=("result",)
-        ).value(result="miss") == 0.0
 
 
 class TestDisabledModeSilence:
@@ -170,13 +166,3 @@ class TestDisabledModeSilence:
         obs.disable()
         assert disabled.suspects == enabled.suspects
         assert disabled.reduced_hosts == enabled.reduced_hosts
-
-
-class TestConfigValidation:
-    def test_bad_backend_fails_at_construction(self):
-        with pytest.raises(ValueError, match="unknown hm_backend"):
-            PipelineConfig(hm_backend="cuda")
-
-    def test_all_known_backends_accepted(self):
-        for backend in ("auto", "loop", "vectorized", "parallel"):
-            assert PipelineConfig(hm_backend=backend).hm_backend == backend

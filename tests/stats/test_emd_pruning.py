@@ -21,9 +21,7 @@ from repro.stats.clustering import (
 )
 from repro.stats.emd import (
     PAIRWISE_BACKENDS,
-    PARALLEL_MIN_HOSTS,
     PRUNED_MIN_HOSTS,
-    VECTORIZED_MIN_HOSTS,
     emd_1d,
     pairwise_emd,
     resolve_backend,
@@ -331,69 +329,43 @@ class TestClusterHostsEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution: every boundary of the escalation ladder
+# Backend resolution: auto is vectorized, then pruned from 4,000 hosts
 # ----------------------------------------------------------------------
 class TestResolveBackend:
     def test_boundary_constants_are_ordered(self):
-        assert VECTORIZED_MIN_HOSTS < PARALLEL_MIN_HOSTS < PRUNED_MIN_HOSTS
+        # auto hands pruned only populations it can actually prune:
+        # below _MIN_PRUNE_HOSTS pruned_partition runs the exact path.
+        assert _MIN_PRUNE_HOSTS < PRUNED_MIN_HOSTS
 
     @pytest.mark.parametrize(
-        "n_hosts, cores, expected",
+        "n_hosts, expected",
         [
-            (0, 1, "loop"),
-            (VECTORIZED_MIN_HOSTS - 1, 1, "loop"),
-            (VECTORIZED_MIN_HOSTS, 1, "vectorized"),
-            (PARALLEL_MIN_HOSTS - 1, 8, "vectorized"),
-            (PARALLEL_MIN_HOSTS, 8, "parallel"),
-            # Parallel needs actual cores; a single-core box stays
-            # vectorized until the pruned rung takes over.
-            (PARALLEL_MIN_HOSTS, 1, "vectorized"),
-            (PRUNED_MIN_HOSTS - 1, 1, "vectorized"),
-            (PRUNED_MIN_HOSTS - 1, 8, "parallel"),
-            (PRUNED_MIN_HOSTS, 1, "pruned"),
-            (PRUNED_MIN_HOSTS, 8, "pruned"),
+            (0, "vectorized"),
+            (3, "vectorized"),
+            (PRUNED_MIN_HOSTS - 1, "vectorized"),
+            (PRUNED_MIN_HOSTS, "pruned"),
+            (10**6, "pruned"),
         ],
     )
-    def test_auto_escalation_boundaries(self, n_hosts, cores, expected):
-        assert resolve_backend("auto", n_hosts, cores=cores) == expected
+    def test_auto_escalation_boundaries(self, n_hosts, expected):
+        assert resolve_backend("auto", n_hosts) == expected
 
-    @pytest.mark.parametrize(
-        "n_hosts, cores, expected",
-        [
-            (PRUNED_MIN_HOSTS, 8, "parallel"),
-            (PRUNED_MIN_HOSTS, 1, "vectorized"),
-            (10**6, 8, "parallel"),
-        ],
-    )
-    def test_exact_stops_escalation_at_parallel(self, n_hosts, cores, expected):
-        assert resolve_backend("auto", n_hosts, cores=cores, exact=True) == expected
-
-    def test_explicit_pruned_with_exact_resolves_as_auto(self):
-        # The escape hatch wins over an explicit pruned request.
-        assert (
-            resolve_backend("pruned", 10, cores=1, exact=True) == "vectorized"
-        )
-        assert (
-            resolve_backend("pruned", PRUNED_MIN_HOSTS, cores=8, exact=True)
-            == "parallel"
-        )
-
-    @pytest.mark.parametrize("backend", ["loop", "vectorized", "parallel", "pruned"])
+    @pytest.mark.parametrize("backend", ["loop", "vectorized", "pruned"])
     def test_explicit_backends_pass_through(self, backend):
-        assert resolve_backend(backend, 2, cores=1) == backend
-        assert resolve_backend(backend, 10**6, cores=8) == backend
+        assert resolve_backend(backend, 2) == backend
+        assert resolve_backend(backend, 10**6) == backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu", 10)
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("parallel", 10)
 
     def test_never_returns_auto(self):
         for n in (0, 3, 4, 1500, 4000, 10**5):
-            for cores in (1, 2, 16):
-                for exact in (False, True):
-                    resolved = resolve_backend("auto", n, cores=cores, exact=exact)
-                    assert resolved in PAIRWISE_BACKENDS
-                    assert resolved != "auto"
+            resolved = resolve_backend("auto", n)
+            assert resolved in PAIRWISE_BACKENDS
+            assert resolved != "auto"
 
 
 class TestEscalationObservability:
@@ -403,12 +375,15 @@ class TestEscalationObservability:
         assert result.backend == "vectorized"
         explicit = cluster_hosts(histograms, 70.0, backend="pruned")
         assert explicit.backend == "pruned"
-        exact = cluster_hosts(histograms, 70.0, backend="pruned", exact=True)
-        assert exact.backend == "vectorized"
 
-    def test_loop_population_reports_loop(self):
+    def test_loop_only_when_asked(self):
         histograms = _as_host_dict(random_population(seed=2, n_hosts=3))
-        assert cluster_hosts(histograms, 70.0, backend="auto").backend == "loop"
+        auto = cluster_hosts(histograms, 70.0, backend="auto")
+        assert auto.backend == "vectorized"
+        oracle = cluster_hosts(histograms, 70.0, backend="loop")
+        assert oracle.backend == "loop"
+        assert oracle.clusters == auto.clusters
+        assert oracle.kept == auto.kept
 
     def test_resolved_backend_lands_on_span(self):
         from repro import obs
