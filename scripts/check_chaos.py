@@ -9,7 +9,10 @@ each asserting the resilience contract rather than mere survival:
 corrupt on every run).  Quarantine mode must reconcile exactly:
 ``rows_ok + rows_quarantined == rows_total``, the dead-letter CSV holds
 one record per quarantined row, and strict mode must still fail fast on
-the same trace.
+the same trace.  The same corrupted read spooled into a segment store
+(``to_store=``) — where nearly every parse block takes the row-by-row
+re-check — must give the same report, the same dead-letter bytes and
+the same FindPlotters suspects as the in-memory read.
 
 **Infrastructure chaos** — FindPlotters runs over the *clean*
 in-memory store with ``store_dir`` set, so extraction first spools the
@@ -152,6 +155,37 @@ def check_dirty_ingest(store, artifacts: Path, tmp: Path) -> None:
     print(
         f"pipeline over recovered store completed "
         f"({len(partial.suspects)} suspects)"
+    )
+
+    # The spool path under the same corruption agrees with it.
+    spool_dead_letter = tmp / "spool-dead-letter.csv"
+    with faults.injected(
+        parse_corrupt_rate=CORRUPT_RATE, parse_seed=CORRUPT_SEED
+    ):
+        spooled, spool_report = read_flows_report(
+            trace,
+            errors="quarantine",
+            dead_letter=spool_dead_letter,
+            to_store=tmp / "dirty-spool",
+        )
+    outcome = lambda r: (  # noqa: E731
+        r.rows_ok, r.rows_skipped, r.rows_quarantined, r.error_samples
+    )
+    assert outcome(spool_report) == outcome(report), (
+        f"spooled read reported {spool_report.describe()}, "
+        f"in-memory read {report.describe()}"
+    )
+    assert spool_dead_letter.read_bytes() == dead_letter.read_bytes(), (
+        "spooled and in-memory reads dead-lettered different bytes"
+    )
+    spooled_suspects = find_plotters(spooled).suspects
+    assert spooled_suspects == partial.suspects, (
+        "spooled read changed the suspect set: "
+        f"{sorted(spooled_suspects ^ partial.suspects)}"
+    )
+    print(
+        f"spooled dirty ingest OK: {spooled.store.n_segments} segment(s), "
+        "same report, dead-letter bytes and suspects"
     )
 
 

@@ -20,12 +20,37 @@ some of them torn, truncated, or mis-encoded.  :func:`read_flows` and
   a *dead-letter CSV* (the same columns plus an ``error`` column) so
   it can be inspected or replayed after the collector bug is fixed.
 
+:func:`row_to_flow` is the one definition of a valid row: arity,
+``float``/``int``/``bytes.fromhex`` field parses, protocol and state
+membership, ``end >= start``, counts in ``[0, 2**63 - 1]`` (the storage
+columns are int64) and ports in ``[0, 65535]``.  A tokenizer error —
+``csv.Error``, e.g. a field past ``csv.field_size_limit`` because a
+torn row's unterminated quote swallowed the lines after it — is one
+more malformed row: strict raises ``ValueError`` with ``source:lineno``,
+skip and quarantine count and sample it (quarantine dead-letters empty
+fields plus the error) and reading resumes at the next line.
+
 :func:`read_flows_report` returns the :class:`IngestReport` alongside
 the store; the ``repro_ingest_rows_{ok,skipped,quarantined}_total``
 counters feed the metrics registry.  Writes go through the crash-safe
 atomic writer (:mod:`repro.resilience.io`), so a killed
 :func:`write_flows` never leaves a half-written trace where a complete
 one stood.
+
+Block parse
+-----------
+Reading never builds a record per row to validate it.  ``csv.reader``
+tokenises; every :data:`_BLOCK_ROWS` rows are transposed with
+``zip(*rows)``, each column goes through the same ``float``, ``int``
+and ``bytes.fromhex`` calls :func:`row_to_flow` makes, and the block is
+checked column-wise for everything :func:`row_to_flow` checks.  A block
+that any check flags is re-run row by row through :func:`row_to_flow`,
+which therefore alone decides which rows survive and words every
+``source:lineno: message``.  The validated columns feed the consumers
+directly: the segment spool (:meth:`SegmentWriter.append_columns
+<repro.storage.writer.SegmentWriter.append_columns>`), the serve
+coordinator (:func:`loads_columns`) and, for the in-memory readers,
+the records of a :class:`FlowStore`.
 
 Out-of-core ingest
 ------------------
@@ -36,21 +61,27 @@ the full trace materialised in memory; only one segment's buffer
 :class:`repro.storage.StoreView` (FlowStore-shaped, bit-identical
 features) instead of a :class:`FlowStore`.  The error policies compose
 unchanged: quarantined rows still land in the dead-letter CSV while
-good rows land in segments.
+good rows land in segments.  Segments are cut at the same rows, with
+the same dictionary codes, as row-by-row appends would cut them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import is_, lt
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -69,6 +100,7 @@ __all__ = [
     "ARGUS_COLUMNS",
     "DEAD_LETTER_COLUMNS",
     "PARSE_ERROR_MODES",
+    "FlowColumns",
     "IngestReport",
     "flow_to_row",
     "row_to_flow",
@@ -79,6 +111,7 @@ __all__ = [
     "dumps",
     "loads",
     "loads_report",
+    "loads_columns",
 ]
 
 #: Column order of the Argus-like CSV format.
@@ -107,6 +140,18 @@ PARSE_ERROR_MODES = ("strict", "skip", "quarantine")
 #: Cap on per-report retained error messages/rows — enough to debug,
 #: bounded so a 99%-corrupt file cannot balloon the report.
 _REPORT_ERROR_CAP = 32
+
+#: Rows per parse block.  Smaller blocks stay cache-resident while they
+#: are transposed and converted; 512 read the paper-day trace fastest of
+#: 256-16,384 (one pinned vCPU of a 2-vCPU Xeon VM).  Not an option: it
+#: changes no output.
+_BLOCK_ROWS = 512
+
+#: Largest count the int64 storage columns hold.
+_INT64_MAX = 2**63 - 1
+
+_PROTOCOLS = {proto.value: proto for proto in Protocol}
+_STATES = {state.value: state for state in FlowState}
 
 logger = get_logger("flows.argus")
 
@@ -147,10 +192,14 @@ def flow_to_row(flow: FlowRecord) -> List[str]:
 def row_to_flow(row: List[str]) -> FlowRecord:
     """Parse one CSV row back into a :class:`FlowRecord`.
 
+    This is the definition of a valid row; the block parse flags
+    exactly the blocks holding a row this rejects.
+
     Raises
     ------
     ValueError
-        If the row has the wrong arity or a field fails to parse.
+        If the row has the wrong arity, a field fails to parse or a
+        value is out of range.
     """
     if len(row) != len(ARGUS_COLUMNS):
         raise ValueError(
@@ -158,7 +207,7 @@ def row_to_flow(row: List[str]) -> FlowRecord:
         )
     (start, end, proto, src, sport, dst, dport,
      src_pkts, dst_pkts, src_bytes, dst_bytes, state, payload_hex) = row
-    return FlowRecord(
+    flow = FlowRecord(
         src=src,
         dst=dst,
         sport=int(sport),
@@ -173,6 +222,10 @@ def row_to_flow(row: List[str]) -> FlowRecord:
         state=FlowState(state),
         payload=bytes.fromhex(payload_hex),
     )
+    counts = (flow.src_pkts, flow.dst_pkts, flow.src_bytes, flow.dst_bytes)
+    if max(counts) > _INT64_MAX:
+        raise ValueError(f"packet/byte counts must fit in int64: {counts}")
+    return flow
 
 
 def write_flows(path: Union[str, Path], flows: Iterable[FlowRecord]) -> int:
@@ -266,24 +319,145 @@ class _DeadLetterWriter:
 
 
 def _strip_bom(cell: str) -> str:
-    return cell.lstrip("﻿")
+    return cell.lstrip("\ufeff")
 
 
-def _parse_rows(
-    rows: Iterator[List[str]],
+class FlowColumns(NamedTuple):
+    """The five feature-bearing columns of a run of parsed flows.
+
+    The projection :meth:`SegmentWriter.append
+    <repro.storage.writer.SegmentWriter.append>` stores and serve
+    workers consume, one sequence per field; flow ``i`` is element
+    ``i`` of each.
+    """
+
+    src: Sequence[str]
+    dst: Sequence[str]
+    start: Sequence[float]
+    src_bytes: Sequence[int]
+    success: Sequence[bool]
+
+
+class _Block(NamedTuple):
+    """One block of valid rows as converted columns (Argus order)."""
+
+    start: List[float]
+    end: List[float]
+    proto: List[Protocol]
+    src: Sequence[str]
+    sport: List[int]
+    dst: Sequence[str]
+    dport: List[int]
+    src_pkts: List[int]
+    dst_pkts: List[int]
+    src_bytes: List[int]
+    dst_bytes: List[int]
+    state: List[FlowState]
+    payload: List[bytes]
+
+    def projected(self) -> FlowColumns:
+        success = list(map(is_, self.state, repeat(FlowState.ESTABLISHED)))
+        return FlowColumns(self.src, self.dst, self.start, self.src_bytes, success)
+
+    def records(self) -> Iterator[FlowRecord]:
+        return map(
+            FlowRecord, self.src, self.dst, self.sport, self.dport,
+            self.proto, self.start, self.end, self.src_bytes,
+            self.dst_bytes, self.src_pkts, self.dst_pkts, self.state,
+            self.payload,
+        )
+
+
+def _convert_block(rows: List[List[str]]) -> Optional[_Block]:
+    """``rows`` as converted columns, or ``None`` if any row is invalid.
+
+    Column-wise, the checks :func:`row_to_flow` makes row by row: the
+    same conversion calls, enum membership by value, then the ranges.
+    """
+    try:
+        (start, end, proto, src, sport, dst, dport, src_pkts, dst_pkts,
+         src_bytes, dst_bytes, state, payload) = zip(*rows, strict=True)
+        block = _Block(
+            list(map(float, start)),
+            list(map(float, end)),
+            list(map(_PROTOCOLS.__getitem__, proto)),
+            src,
+            list(map(int, sport)),
+            dst,
+            list(map(int, dport)),
+            list(map(int, src_pkts)),
+            list(map(int, dst_pkts)),
+            list(map(int, src_bytes)),
+            list(map(int, dst_bytes)),
+            list(map(_STATES.__getitem__, state)),
+            list(map(bytes.fromhex, payload)),
+        )
+    except (ValueError, KeyError):
+        return None
+    counts = (block.src_pkts, block.dst_pkts, block.src_bytes, block.dst_bytes)
+    if (
+        any(map(lt, block.end, block.start))
+        or min(map(min, counts)) < 0
+        or max(map(max, counts)) > _INT64_MAX
+        or min(min(block.sport), min(block.dport)) < 0
+        or max(max(block.sport), max(block.dport)) > 65535
+    ):
+        return None
+    return block
+
+
+def _valid_block(rows: List[List[str]]) -> _Block:
+    """Columns of rows :func:`row_to_flow` has accepted one by one."""
+    block = _convert_block(rows)
+    if block is None:
+        raise AssertionError("block checks disagree with row_to_flow")
+    return block
+
+
+def _read_block(
+    reader,
+) -> Tuple[List[List[str]], List[int], Optional[csv.Error], bool]:
+    """Up to :data:`_BLOCK_ROWS` rows from ``reader`` with their lines.
+
+    Returns ``(rows, line numbers, tokenizer error, more)``: blank rows
+    are dropped, a ``csv.Error`` ends the block early (the reader then
+    resumes at the line after it), and ``more`` is false once the input
+    is exhausted.
+    """
+    rows: List[List[str]] = []
+    lines: List[int] = []
+    add_row, add_line = rows.append, lines.append
+    first_line = reader.line_num
+    try:
+        for row in islice(reader, _BLOCK_ROWS):
+            if row:
+                add_row(row)
+                add_line(reader.line_num)
+    except csv.Error as exc:
+        return rows, lines, exc, True
+    return rows, lines, None, reader.line_num != first_line
+
+
+def _parse_blocks(
+    reader,
     *,
     source: str,
     errors: str,
     report: IngestReport,
     dead_letter: Optional[_DeadLetterWriter],
-) -> Iterator[FlowRecord]:
-    """Parse CSV rows under the given malformed-row policy.
+) -> Iterator[_Block]:
+    """Parse CSV rows under the given malformed-row policy, by block.
 
-    ``rows`` must be a ``csv.reader`` (its ``line_num`` attribute
+    ``reader`` must be a ``csv.reader`` (its ``line_num`` attribute
     provides the physical line for error context).  A UTF-8 BOM on the
-    header row is tolerated — collectors on Windows prepend one.
+    header row is tolerated — collectors on Windows prepend one.  In
+    strict mode the valid rows before the first bad one are yielded
+    before the ``ValueError`` is raised, as a row-by-row read would.
     """
-    header = next(rows, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{source}:{reader.line_num}: {exc}") from exc
     if header is None:
         return
     if header:
@@ -291,30 +465,44 @@ def _parse_rows(
     if tuple(header) != ARGUS_COLUMNS:
         raise ValueError(f"{source}: unrecognised trace header: {header!r}")
     corrupt = faults.parse_corruptor()
-    for row in rows:
-        if not row:
-            continue
+
+    def reject(row: List[str], lineno: int, exc: Exception) -> None:
+        message = f"{source}:{lineno}: {exc}"
+        if errors == "strict":
+            raise ValueError(message) from exc
+        report._note_error(message)
+        if errors == "quarantine":
+            report.rows_quarantined += 1
+            _ROWS_QUARANTINED.inc()
+            if dead_letter is not None:
+                dead_letter.append(row, str(exc))
+        else:
+            report.rows_skipped += 1
+            _ROWS_SKIPPED.inc()
+
+    more = True
+    while more:
+        rows, lines, torn, more = _read_block(reader)
         if corrupt is not None:
-            row = corrupt(row)
-        try:
-            flow = row_to_flow(row)
-        except ValueError as exc:
-            lineno = getattr(rows, "line_num", "?")
-            message = f"{source}:{lineno}: {exc}"
-            if errors == "strict":
-                raise ValueError(message) from exc
-            report._note_error(message)
-            if errors == "quarantine":
-                report.rows_quarantined += 1
-                _ROWS_QUARANTINED.inc()
-                if dead_letter is not None:
-                    dead_letter.append(row, str(exc))
-            else:
-                report.rows_skipped += 1
-                _ROWS_SKIPPED.inc()
-            continue
-        report.rows_ok += 1
-        yield flow
+            rows = [corrupt(row) for row in rows]
+        block = _convert_block(rows) if rows else None
+        if block is None:
+            good: List[List[str]] = []
+            for row, lineno in zip(rows, lines):
+                try:
+                    row_to_flow(row)
+                except ValueError as exc:
+                    if errors == "strict" and good:
+                        yield _valid_block(good)
+                    reject(row, lineno, exc)
+                    continue
+                good.append(row)
+            block = _valid_block(good) if good else None
+        if block is not None:
+            report.rows_ok += len(block.start)
+            yield block
+        if torn is not None:
+            reject([], reader.line_num, torn)
     _ROWS_OK.inc(report.rows_ok)
     if report.rows_bad:
         logger.warning(
@@ -333,12 +521,32 @@ def _check_errors_mode(errors: str) -> None:
         )
 
 
+@contextmanager
+def _ingest(source: str, errors: str, dead_letter: Optional[Union[str, Path]]):
+    """A fresh report and, in quarantine mode with a path, its sink."""
+    _check_errors_mode(errors)
+    report = IngestReport(source=source, errors_mode=errors)
+    sink: Optional[_DeadLetterWriter] = None
+    if errors == "quarantine" and dead_letter is not None:
+        report.dead_letter = str(dead_letter)
+        sink = _DeadLetterWriter(dead_letter)
+    try:
+        yield report, sink
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+def _records(blocks: Iterator[_Block]) -> Iterator[FlowRecord]:
+    return chain.from_iterable(block.records() for block in blocks)
+
+
 def _spill_to_store(
-    flows: Iterator[FlowRecord],
+    blocks: Iterator[_Block],
     to_store: Union[str, Path],
     segment_rows: Optional[int],
 ):
-    """Stream parsed flows into a fresh segment store; return its view.
+    """Stream parsed blocks into a fresh segment store; return its view.
 
     Imported lazily — :mod:`repro.storage` builds on the flows package,
     so the dependency must stay call-time-only, and readers that never
@@ -351,8 +559,8 @@ def _spill_to_store(
     with store.writer(
         segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS
     ) as writer:
-        for flow in flows:
-            writer.add(flow)
+        for block in blocks:
+            writer.append_columns(*block.projected())
     return StoreView(store)
 
 
@@ -378,22 +586,17 @@ def read_flows_report(
     controls the cut threshold (default
     :data:`repro.storage.DEFAULT_SEGMENT_ROWS`).
     """
-    _check_errors_mode(errors)
-    report = IngestReport(source=str(path), errors_mode=errors)
-    sink: Optional[_DeadLetterWriter] = None
     if errors == "quarantine":
-        target = (
-            Path(dead_letter)
+        dead_letter = Path(
+            dead_letter
             if dead_letter is not None
             else default_dead_letter_path(path)
         )
-        report.dead_letter = str(target)
-        sink = _DeadLetterWriter(target)
-    try:
+    with _ingest(str(path), errors, dead_letter) as (report, sink):
         # utf-8-sig transparently strips a leading BOM; BOM-free files
         # read identically.
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            flows = _parse_rows(
+            blocks = _parse_blocks(
                 csv.reader(handle),
                 source=str(path),
                 errors=errors,
@@ -401,12 +604,9 @@ def read_flows_report(
                 dead_letter=sink,
             )
             if to_store is not None:
-                store = _spill_to_store(flows, to_store, segment_rows)
+                store = _spill_to_store(blocks, to_store, segment_rows)
             else:
-                store = FlowStore(flows)
-    finally:
-        if sink is not None:
-            sink.close()
+                store = FlowStore(_records(blocks))
     return store, report
 
 
@@ -459,26 +659,43 @@ def loads_report(
     samples the bad rows in the report — there is just no file to
     append them to.
     """
-    _check_errors_mode(errors)
-    report = IngestReport(source="<string>", errors_mode=errors)
-    sink: Optional[_DeadLetterWriter] = None
-    if errors == "quarantine" and dead_letter is not None:
-        report.dead_letter = str(dead_letter)
-        sink = _DeadLetterWriter(dead_letter)
-    try:
-        store = FlowStore(
-            _parse_rows(
-                csv.reader(io.StringIO(text.lstrip("﻿"))),
-                source="<string>",
-                errors=errors,
-                report=report,
-                dead_letter=sink,
-            )
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    with _ingest("<string>", errors, dead_letter) as (report, sink):
+        store = FlowStore(_records(_string_blocks(text, errors, report, sink)))
     return store, report
+
+
+def loads_columns(
+    text: str, *, errors: str = "strict"
+) -> Tuple[FlowColumns, IngestReport]:
+    """Parse a CSV string into its five projected columns.
+
+    The rows, their order (stably by start time, as a
+    :class:`FlowStore` iterates) and the report are those of
+    :func:`loads_report`; only no record is built.  This is the serve
+    coordinator's ingest decode.
+    """
+    columns = FlowColumns([], [], [], [], [])
+    with _ingest("<string>", errors, None) as (report, sink):
+        for block in _string_blocks(text, errors, report, sink):
+            for column, values in zip(columns, block.projected()):
+                column.extend(values)
+    order = sorted(range(len(columns.start)), key=columns.start.__getitem__)
+    return FlowColumns(*(list(map(c.__getitem__, order)) for c in columns)), report
+
+
+def _string_blocks(
+    text: str,
+    errors: str,
+    report: IngestReport,
+    sink: Optional[_DeadLetterWriter],
+) -> Iterator[_Block]:
+    return _parse_blocks(
+        csv.reader(io.StringIO(text.lstrip("\ufeff"))),
+        source="<string>",
+        errors=errors,
+        report=report,
+        dead_letter=sink,
+    )
 
 
 def loads(

@@ -63,11 +63,12 @@ import queue as queue_mod
 import threading
 import time
 from collections import defaultdict
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..detection.pipeline import PipelineResult, find_plotters
-from ..flows.argus import loads_report
+from ..flows.argus import FlowColumns, loads_columns
 from ..flows.store import FlowStore
 from ..obs import metrics as obs_metrics
 from ..obs.http import MetricsServer
@@ -79,7 +80,7 @@ from ..storage.format import StorageError
 from .config import ServeConfig
 from .journal import COORD_LOG_NAME, CoordinatorLog, LogState
 from .sharding import ShardMap
-from .worker import row_of, worker_main
+from .worker import worker_main
 
 __all__ = ["ServeCoordinator", "BacklogFull", "NotLeader"]
 
@@ -747,16 +748,16 @@ class ServeCoordinator:
             if backlog > self.config.max_backlog_rows:
                 _REJECTED.inc(reason="backlog")
                 raise BacklogFull(backlog, self.config.max_backlog_rows)
-        flows, report = loads_report(text, errors=self.config.on_parse_error)
-        batches: Dict[int, List] = defaultdict(list)
+        columns, report = loads_columns(text, errors=self.config.on_parse_error)
+        rows_ok = len(columns.src)
+        batches: Dict[int, List] = {}
         with self._lock:
-            for flow in flows:
-                shard = self.shard_map.shard_of(flow.src)
-                self._writers[shard].add(flow)
-                self._hosts_per_shard[shard].add(flow.src)
-                batches[shard].append(row_of(flow))
+            for shard, part in self._by_shard(columns):
+                self._writers[shard].append_columns(*part)
+                self._hosts_per_shard[shard].update(part.src)
+                batches[shard] = list(zip(*part))
             reply: Dict[str, object] = {
-                "rows_ok": len(flows),
+                "rows_ok": rows_ok,
                 "rows_bad": report.rows_bad,
                 "shards": {
                     str(shard): len(rows)
@@ -770,14 +771,14 @@ class ServeCoordinator:
                 # durable, chunk not yet journaled — the exact window
                 # promotion's orphan-segment truncation closes.
                 faults.serve_coord_exit_once()
-                if flows or client is not None:
+                if rows_ok or client is not None:
                     self._log.append(
                         {
                             "kind": "chunk",
                             "client": client,
                             "seq": seq,
                             "epoch": self.epoch,
-                            "rows": len(flows),
+                            "rows": rows_ok,
                             "cum": {
                                 str(shard): self._writers[shard].store.total_rows
                                 for shard in sorted(batches)
@@ -798,11 +799,30 @@ class ServeCoordinator:
                     previous = self._applied.get(client)
                     if previous is None or seq > previous[0]:
                         self._applied[client] = (seq, dict(reply))
-            self.rows_ingested += len(flows)
+            self.rows_ingested += rows_ok
             _SPOOLED.set(self.rows_ingested)
         _INGEST_REQUESTS.inc()
-        _INGEST_ROWS.inc(len(flows))
+        _INGEST_ROWS.inc(rows_ok)
         return reply
+
+    def _by_shard(self, columns: FlowColumns) -> List[Tuple[int, FlowColumns]]:
+        """Split a chunk's columns by shard, in first-seen shard order.
+
+        Each distinct host is hashed once; row order within a shard is
+        the chunk's order.
+        """
+        shard_of = {
+            host: self.shard_map.shard_of(host)
+            for host in dict.fromkeys(columns.src)
+        }
+        shards = list(map(shard_of.__getitem__, columns.src))
+        parts = []
+        for shard in dict.fromkeys(shards):
+            keep = list(map(shard.__eq__, shards))
+            parts.append(
+                (shard, FlowColumns(*(list(compress(c, keep)) for c in columns)))
+            )
+        return parts
 
     # ------------------------------------------------------------------
     # Live verdicts

@@ -25,10 +25,12 @@ Workers are intentionally stateless beyond the current window: the
 coordinator owns the per-shard spool, so a killed worker's replacement
 simply replays the spool from the last finalised window boundary
 (``replay_t0``) on the same window grid (``window_origin``) and ends up
-scoring the identical window the dead worker was filling.  Flows are
-projected onto the storage plane's five columns before they travel
-(:func:`row_of` / :func:`record_of`), so live ingest and spool replay
-feed the detector byte-for-byte the same records.
+scoring the identical window the dead worker was filling.  Flows
+travel as rows of the storage plane's five columns — the coordinator
+zips them from the columns it decodes; :func:`row_of` is the same
+projection of one record — and :func:`record_of` rebuilds the record,
+so live ingest and spool replay feed the detector byte-for-byte the
+same records.
 """
 
 from __future__ import annotations

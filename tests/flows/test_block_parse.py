@@ -1,0 +1,423 @@
+"""The block parser against its oracle, a per-row ``row_to_flow`` loop.
+
+``flows.argus`` checks each CSV block column-wise and re-runs a flagged
+block row by row, so :func:`row_to_flow` alone decides which rows
+survive.  The traces here mix good rows with every kind of mangled row
+(arity, odd numeric strings, enums, hex, ranges, blank lines, quoted
+newlines, tokenizer errors), sized around the block boundary, and go
+through all three policies and all three readers.  Everything
+observable must equal the reference loop kept in this file: the report,
+the error samples with their line numbers, the dead-letter bytes, the
+counter deltas and the surviving records or segment bytes — also what
+a strict-mode failure leaves committed in the store.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import obs
+from repro.flows.argus import (
+    _BLOCK_ROWS,
+    _REPORT_ERROR_CAP,
+    ARGUS_COLUMNS,
+    DEAD_LETTER_COLUMNS,
+    PARSE_ERROR_MODES,
+    flow_to_row,
+    loads_columns,
+    loads_report,
+    read_flows_report,
+    row_to_flow,
+)
+from repro.flows.store import FlowStore
+from repro.serve.worker import row_of
+from repro.storage import fresh_store
+
+HOSTS = [f"10.0.0.{i}" for i in range(5)] + ["10.0.0.9\nmultiline"]
+COUNTERS = (
+    "repro_ingest_rows_ok_total",
+    "repro_ingest_rows_skipped_total",
+    "repro_ingest_rows_quarantined_total",
+)
+FLOAT_FIELDS = (0, 1)
+PORT_FIELDS = (4, 6)
+COUNT_FIELDS = (7, 8, 9, 10)
+NUMERIC = (
+    "nan", "inf", "-inf", "1_0", " 5 ", "+5", "-1", "5.5", "", "0x1",
+    "1e3", str(2**63 - 1), str(2**63), str(10**20), "65535", "65536",
+)
+
+
+def good_row(i: int) -> list:
+    # Starts are not monotone, so the start-ordered readers reorder.
+    start = float((i * 7919) % 1013) + i / 8.0
+    return [
+        repr(start),
+        repr(start + (i % 4)),
+        ("tcp", "udp")[i % 2],
+        HOSTS[i % len(HOSTS)],
+        str(1024 + i),
+        f"192.168.0.{i % 7}",
+        "80",
+        str(i % 5),
+        str(i % 3),
+        str(100 * (i % 11)),
+        str(i % 2),
+        ("est", "rej", "timeout")[i % 3],
+        "0a0b" * (i % 3),
+    ]
+
+
+def mangle(row: list, kind: str, a, b) -> object:
+    """A mangled copy of ``row`` (a list), or raw text for what the CSV
+    writer cannot produce (blank lines, tokenizer errors)."""
+    row = list(row)
+    if kind == "arity":
+        return row[:a] if a < len(row) else row + ["extra"] * (a - len(row))
+    if kind == "set":
+        row[a] = b
+    elif kind == "suffix":  # a quoted newline: one row, two lines
+        row[a] += b
+    elif kind == "end_before_start":
+        row[1] = repr(float(row[0]) - a)
+    elif a == "blank":
+        return ""
+    elif a == "oversized":
+        return "x" * (csv.field_size_limit() + 1) + ",1"
+    elif a == "torn":  # the unterminated quote swallows two lines
+        filler = "y" * (csv.field_size_limit() // 2 + 10)
+        return '1.0,"torn\n' + filler + "\n" + filler
+    return row
+
+
+#: Every single-row mangle, as ``(kind, a, b)`` for :func:`mangle`.
+SINGLE_MANGLES = (
+    [("arity", n, None) for n in (1, 2, 6, 12, 14)]
+    + [
+        ("set", f, v)
+        for f in FLOAT_FIELDS + PORT_FIELDS + COUNT_FIELDS
+        for v in NUMERIC
+    ]
+    + [("set", 2, v) for v in ("icmp", "TCP", "", " tcp", "udp")]
+    + [("set", 11, v) for v in ("EST", "established", "", "rej ", "timeout")]
+    + [("set", 12, v) for v in ("abc", "zz", "0g", "a" * 129, "ab" * 65, "01 02")]
+    + [("set", f, v) for f in PORT_FIELDS for v in ("-1", "65536", "65535", "0")]
+    + [("set", f, v) for f in COUNT_FIELDS for v in ("-1", "-9")]
+    + [("end_before_start", d, None) for d in (0.5, 3.0)]
+    + [("suffix", f, "\nspill") for f in (2, 3, 5, 11)]
+    + [("raw", r, None) for r in ("blank", "oversized", "torn")]
+)
+
+
+@st.composite
+def traces(draw):
+    """Trace text: good rows sized around the block boundary with
+    mangled rows spliced in, ``\r\n`` or ``\n`` line ends, maybe a BOM."""
+    b = _BLOCK_ROWS
+    n_good = draw(st.sampled_from([0, 1, 7, b - 2, b - 1, b, b + 1, 2 * b + 3]))
+    inserts = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_good), st.sampled_from(SINGLE_MANGLES)),
+            max_size=4,
+        )
+    )
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    bom = draw(st.booleans())
+    items = [good_row(i) for i in range(n_good)]
+    for pos, (kind, a, b) in sorted(inserts, key=lambda t: t[0], reverse=True):
+        items.insert(pos, mangle(good_row(pos), kind, a, b))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(ARGUS_COLUMNS)
+    for item in items:
+        if isinstance(item, str):
+            buf.write(item + newline)
+        else:
+            writer.writerow(item)
+    return ("\ufeff" if bom else "") + buf.getvalue()
+
+
+# ----------------------------------------------------------------------
+# The oracle
+# ----------------------------------------------------------------------
+class Reference:
+    """The per-row read: ``csv.reader`` row by row, ``row_to_flow`` per
+    row, a tokenizer error as a malformed row with empty fields."""
+
+    def __init__(self, reader, source: str, errors: str) -> None:
+        self.reader, self.source, self.errors = reader, source, errors
+        self.counts = {"rows_ok": 0, "rows_skipped": 0, "rows_quarantined": 0}
+        self.samples: list = []
+        self.dead_rows: list = []
+
+    def _bad(self, row, exc) -> None:
+        message = f"{self.source}:{self.reader.line_num}: {exc}"
+        if self.errors == "strict":
+            raise ValueError(message)
+        if len(self.samples) < _REPORT_ERROR_CAP:
+            self.samples.append(message)
+        if self.errors == "quarantine":
+            self.counts["rows_quarantined"] += 1
+            width = len(ARGUS_COLUMNS)
+            self.dead_rows.append((list(row) + [""] * width)[:width] + [str(exc)])
+        else:
+            self.counts["rows_skipped"] += 1
+
+    def flows(self):
+        header = next(self.reader)
+        assert [header[0].lstrip("\ufeff")] + header[1:] == list(ARGUS_COLUMNS)
+        while True:
+            try:
+                row = next(self.reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                self._bad([], exc)
+                continue
+            if not row:
+                continue
+            try:
+                flow = row_to_flow(row)
+            except ValueError as exc:
+                self._bad(row, exc)
+                continue
+            self.counts["rows_ok"] += 1
+            yield flow
+
+    def counter_deltas(self, failed: bool) -> tuple:
+        ok = 0 if failed else self.counts["rows_ok"]
+        return (ok, self.counts["rows_skipped"], self.counts["rows_quarantined"])
+
+    def dead_letter_bytes(self, path: Path):
+        if not self.dead_rows:
+            return None
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(DEAD_LETTER_COLUMNS)
+            writer.writerows(self.dead_rows)
+        return path.read_bytes()
+
+
+def counter_values() -> tuple:
+    registry = obs.get_registry()
+    return tuple(registry.counter(name).value() for name in COUNTERS)
+
+
+def observe(call):
+    """``(result, strict-mode message or None, counter deltas)``."""
+    before = counter_values()
+    try:
+        result, message = call(), None
+    except ValueError as exc:
+        result, message = None, str(exc)
+    after = counter_values()
+    return result, message, tuple(int(a - b) for a, b in zip(after, before))
+
+
+def rows_of(store) -> list:
+    return [flow_to_row(flow) for flow in store]
+
+
+def dir_bytes(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def read_bytes_or_none(path: Path):
+    return path.read_bytes() if path.exists() else None
+
+
+def check_report(report, ref: Reference, dead_letter) -> None:
+    assert (report.rows_ok, report.rows_skipped, report.rows_quarantined) == (
+        ref.counts["rows_ok"],
+        ref.counts["rows_skipped"],
+        ref.counts["rows_quarantined"],
+    )
+    assert report.error_samples == ref.samples
+    assert report.dead_letter == dead_letter
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+def check_trace(text: str, segment_rows: int) -> None:
+    """Every policy through every reader equals the reference."""
+    obs.enable()
+    try:
+        with tempfile.TemporaryDirectory() as tmp_str:
+            tmp = Path(tmp_str)
+            trace = tmp / "trace.csv"
+            trace.write_bytes(text.encode("utf-8"))
+            for errors in PARSE_ERROR_MODES:
+                check_string_readers(text, errors, tmp)
+                check_file_readers(trace, errors, tmp, segment_rows)
+    finally:
+        obs.disable()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=traces(), segment_rows=st.sampled_from([97, 1000]))
+def test_block_parse_equals_row_by_row_reference(text, segment_rows):
+    check_trace(text, segment_rows)
+
+
+@pytest.mark.parametrize(
+    "kind,a,b",
+    SINGLE_MANGLES,
+    ids=[f"{kind}-{a}-{str(b)[:8]}" for kind, a, b in SINGLE_MANGLES],
+)
+def test_each_mangle_alone_in_a_block_equals_reference(kind, a, b):
+    # The only odd row of its block, so the column checks alone must
+    # flag it (or pass it) exactly as row_to_flow does.
+    rows = [good_row(i) for i in range(9)]
+    rows.insert(5, mangle(good_row(5), kind, a, b))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(ARGUS_COLUMNS)
+    for row in rows:
+        if isinstance(row, str):
+            buf.write(row + "\r\n")
+        else:
+            writer.writerow(row)
+    check_trace(buf.getvalue(), segment_rows=4)
+
+
+def check_string_readers(text: str, errors: str, tmp: Path) -> None:
+    def reference() -> Reference:
+        return Reference(
+            csv.reader(io.StringIO(text.lstrip("\ufeff"))), "<string>", errors
+        )
+
+    ref = reference()
+    ref_result, ref_message, _ = observe(lambda: FlowStore(ref.flows()))
+    dead = tmp / f"loads-{errors}.dead.csv"
+    dead_letter = str(dead) if errors == "quarantine" else None
+    result, message, deltas = observe(
+        lambda: loads_report(text, errors=errors, dead_letter=dead_letter)
+    )
+    assert message == ref_message
+    assert deltas == ref.counter_deltas(failed=message is not None)
+    assert read_bytes_or_none(dead) == ref.dead_letter_bytes(tmp / "ref.dead.csv")
+    if message is None:
+        store, report = result
+        check_report(report, ref, dead_letter)
+        assert rows_of(store) == rows_of(ref_result)
+        expected_rows = [row_of(flow) for flow in store]
+
+    # loads_columns: the same rows, in the same order, with the types
+    # row_of gives a worker.
+    ref = reference()
+    observe(lambda: list(ref.flows()))
+    result, message, deltas = observe(
+        lambda: loads_columns(text, errors=errors)
+    )
+    assert message == ref_message
+    assert deltas == ref.counter_deltas(failed=message is not None)
+    if message is None:
+        columns, report = result
+        check_report(report, ref, None)
+        rows = list(zip(*columns))
+        assert [tuple(map(type, r)) for r in rows] == [
+            tuple(map(type, r)) for r in expected_rows
+        ]
+        assert [(*r[:2], repr(r[2]), *r[3:]) for r in rows] == [
+            (*r[:2], repr(r[2]), *r[3:]) for r in expected_rows
+        ]
+
+
+def check_file_readers(
+    trace: Path, errors: str, tmp: Path, segment_rows: int
+) -> None:
+    dead = tmp / f"file-{errors}.dead.csv"
+    dead_letter = str(dead) if errors == "quarantine" else None
+
+    def check(ref: Reference, call, ref_dir=None, spool_dir=None) -> None:
+        result, message, deltas = observe(call)
+        assert message == ref_message
+        assert deltas == ref.counter_deltas(failed=message is not None)
+        assert read_bytes_or_none(dead) == ref.dead_letter_bytes(
+            tmp / "ref.dead.csv"
+        )
+        if spool_dir is not None:
+            assert dir_bytes(spool_dir) == dir_bytes(ref_dir)
+        if message is None:
+            store, report = result
+            check_report(report, ref, dead_letter)
+            if spool_dir is None:
+                assert rows_of(store) == rows_of(ref_store)
+        if dead.exists():
+            dead.unlink()
+
+    # In memory.
+    with open(trace, newline="", encoding="utf-8-sig") as handle:
+        ref = Reference(csv.reader(handle), str(trace), errors)
+        ref_store, ref_message, _ = observe(lambda: FlowStore(ref.flows()))
+    check(
+        ref,
+        lambda: read_flows_report(trace, errors=errors, dead_letter=dead_letter),
+    )
+
+    # Spooled: the same segment bytes, also what a strict failure
+    # leaves committed (the full segments cut before the bad row).
+    ref_dir = tmp / f"ref-spool-{errors}"
+    with open(trace, newline="", encoding="utf-8-sig") as handle:
+        ref = Reference(csv.reader(handle), str(trace), errors)
+
+        def spool_reference() -> None:
+            store = fresh_store(ref_dir)
+            with store.writer(segment_rows=segment_rows) as writer:
+                for flow in ref.flows():
+                    writer.add(flow)
+
+        observe(spool_reference)
+    spool_dir = tmp / f"spool-{errors}"
+    check(
+        ref,
+        lambda: read_flows_report(
+            trace,
+            errors=errors,
+            dead_letter=dead_letter,
+            to_store=spool_dir,
+            segment_rows=segment_rows,
+        ),
+        ref_dir,
+        spool_dir,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(HOSTS),
+            st.sampled_from(["192.168.0.1", "192.168.0.2", "172.16.0.9"]),
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.integers(0, 2**63 - 1),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    splits=st.lists(st.integers(0, 40), max_size=6),
+    segment_rows=st.integers(1, 9),
+    segment_bytes=st.integers(1, 400),
+)
+def test_append_columns_equals_row_by_row_append(
+    rows, splits, segment_rows, segment_bytes
+):
+    with tempfile.TemporaryDirectory() as tmp_str:
+        tmp = Path(tmp_str)
+        limits = dict(segment_rows=segment_rows, segment_bytes=segment_bytes)
+        with fresh_store(tmp / "rows").writer(**limits) as writer:
+            for row in rows:
+                writer.append(*row)
+        with fresh_store(tmp / "columns").writer(**limits) as writer:
+            bounds = [0] + sorted(min(s, len(rows)) for s in splits) + [len(rows)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                columns = [list(c) for c in zip(*rows[lo:hi])] or [[]] * 5
+                writer.append_columns(*columns)
+        assert dir_bytes(tmp / "columns") == dir_bytes(tmp / "rows")

@@ -24,6 +24,7 @@ from repro.flows.argus import (
     loads_report,
     read_flows,
     read_flows_report,
+    row_to_flow,
     write_flows,
 )
 
@@ -275,3 +276,102 @@ class TestIngestMetrics:
             obs.disable()
             obs.get_registry().reset()
             obs.clear_sinks()
+
+
+def torn_text(newline="\r\n"):
+    """Two good rows, a torn row whose unterminated quote swallows the
+    next lines until its field passes ``csv.field_size_limit``, then
+    two good rows.  Returns ``(text, lineno of the tokenizer error)``."""
+    filler = "y" * (csv.field_size_limit() // 2 + 10)
+    lines = [",".join(ARGUS_COLUMNS)]
+    lines += [",".join(flow_to_row(flow)) for flow in GOOD[:2]]
+    lines += ['1.0,"torn', filler, filler]
+    error_lineno = len(lines)
+    lines += [",".join(flow_to_row(flow)) for flow in GOOD[2:4]]
+    return newline.join(lines) + newline, error_lineno
+
+
+class TestTokenizerErrors:
+    """``csv.reader`` raises ``csv.Error``, not ``ValueError``, for a
+    field past the field size limit; it is one more malformed row."""
+
+    def test_strict_raises_value_error_with_line(self, tmp_path):
+        text, lineno = torn_text()
+        with pytest.raises(ValueError, match=rf"<string>:{lineno}: field larger"):
+            loads(text)
+        trace = tmp_path / "torn.csv"
+        trace.write_text(text)
+        with pytest.raises(ValueError, match=rf"torn\.csv:{lineno}: field larger"):
+            read_flows(trace)
+
+    @pytest.mark.parametrize("errors", ["skip", "quarantine"])
+    def test_lenient_modes_count_it_and_resume_at_next_line(self, errors):
+        limit = csv.field_size_limit()
+        text, lineno = torn_text()
+        store, report = loads_report(text, errors=errors)
+        assert report.rows_ok == 4
+        assert report.rows_bad == 1
+        assert report.error_samples == [
+            f"<string>:{lineno}: field larger than field limit ({limit})"
+        ]
+        assert sorted(f.src for f in store) == sorted(f.src for f in GOOD[:4])
+        assert csv.field_size_limit() == limit  # no process-global change
+
+    def test_quarantine_dead_letters_the_error(self, tmp_path):
+        text, _ = torn_text("\n")
+        trace = tmp_path / "torn.csv"
+        trace.write_text(text)
+        dead = tmp_path / "dead.csv"
+        view, report = read_flows_report(
+            trace, errors="quarantine", dead_letter=dead,
+            to_store=tmp_path / "spool",
+        )
+        assert (report.rows_ok, report.rows_quarantined) == (4, 1)
+        assert view.store.total_rows == 4
+        with open(dead, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == [""] * len(ARGUS_COLUMNS) + [
+            f"field larger than field limit ({csv.field_size_limit()})"
+        ]
+
+
+class TestCountsBeyondInt64:
+    """Counts are stored as int64: a larger one is a malformed row."""
+
+    def huge_row(self, field_name):
+        row = flow_to_row(good_flow(7))
+        row[ARGUS_COLUMNS.index(field_name)] = str(10**20)
+        return row
+
+    @pytest.mark.parametrize(
+        "field_name", ["src_pkts", "dst_pkts", "src_bytes", "dst_bytes"]
+    )
+    def test_row_to_flow_rejects(self, field_name):
+        with pytest.raises(ValueError, match="int64"):
+            row_to_flow(self.huge_row(field_name))
+
+    def test_int64_max_is_accepted(self):
+        row = flow_to_row(good_flow(7))
+        row[ARGUS_COLUMNS.index("src_bytes")] = str(2**63 - 1)
+        assert row_to_flow(row).src_bytes == 2**63 - 1
+
+    def text(self):
+        rows = [flow_to_row(flow) for flow in GOOD]
+        rows.insert(3, self.huge_row("src_bytes"))
+        return "\r\n".join(",".join(r) for r in [list(ARGUS_COLUMNS)] + rows) + "\r\n"
+
+    def test_reader_skips_it(self):
+        store, report = loads_report(self.text(), errors="skip")
+        assert (report.rows_ok, report.rows_skipped) == (6, 1)
+        assert "int64" in report.error_samples[0]
+        assert len(store) == 6
+
+    def test_spool_skips_it_and_completes(self, tmp_path):
+        trace = tmp_path / "huge.csv"
+        trace.write_text(self.text())
+        view, report = read_flows_report(
+            trace, errors="skip", to_store=tmp_path / "spool", segment_rows=2
+        )
+        assert (report.rows_ok, report.rows_skipped) == (6, 1)
+        assert view.store.total_rows == 6
+        assert int(view.store.gather().src_bytes.max()) == 100

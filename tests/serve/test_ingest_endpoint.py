@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import random
 import threading
 import urllib.error
 import urllib.request
@@ -10,8 +12,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.flows.argus import ARGUS_COLUMNS, dumps
+from repro.flows.argus import ARGUS_COLUMNS, dumps, flow_to_row, loads
 from repro.flows.record import FlowRecord, FlowState, Protocol
+from repro.serve.worker import row_of
 from repro.storage import SegmentStore
 
 HEADER = ",".join(ARGUS_COLUMNS) + "\r\n"
@@ -125,6 +128,52 @@ class TestIngestPolicy:
         assert reply["rows_bad"] == 1
         assert coordinator.rows_ingested == 8
 
+    @staticmethod
+    def _torn_body(good: str) -> bytes:
+        # A torn row whose unterminated quote swallows the next lines
+        # until its field passes csv.field_size_limit: the tokenizer
+        # raises csv.Error, not ValueError, and resumes after it.
+        filler = "y" * (csv.field_size_limit() // 2 + 10)
+        torn = f'1.0,"torn\r\n{filler}\r\n{filler}\r\n'
+        return (HEADER + good + torn + good).encode()
+
+    def test_tokenizer_error_is_one_malformed_row(self, make_coordinator):
+        coordinator = make_coordinator(n_shards=1, window=1e9)
+        good = _csv_rows(_host_flows("10.7.0.2", 0.0, 4))
+        status, reply = _post(coordinator.url + "/ingest", self._torn_body(good))
+        assert status == 200
+        assert (reply["rows_ok"], reply["rows_bad"]) == (8, 1)
+        assert coordinator.rows_ingested == 8
+
+    def test_tokenizer_error_is_400_under_strict(self, make_coordinator):
+        coordinator = make_coordinator(
+            n_shards=1, window=1e9, on_parse_error="strict"
+        )
+        good = _csv_rows(_host_flows("10.7.0.3", 0.0, 4))
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(coordinator.url + "/ingest", self._torn_body(good))
+        assert excinfo.value.code == 400
+        assert coordinator.rows_ingested == 0
+
+    def test_count_beyond_int64_does_not_poison_the_shard(
+        self, make_coordinator
+    ):
+        # Spool columns are int64: the oversized count is a malformed
+        # row, so neither this chunk nor later clean ones fail on it.
+        coordinator = make_coordinator(n_shards=1, window=1e9)
+        huge = flow_to_row(_host_flows("10.7.0.4", 50.0, 1)[0])
+        huge[ARGUS_COLUMNS.index("src_bytes")] = str(10**20)
+        for c, extra in enumerate(["", ",".join(huge) + "\r\n", ""]):
+            good = _csv_rows(_host_flows("10.7.0.4", 10.0 * c, 4))
+            status, reply = _post(
+                coordinator.url + "/ingest", (HEADER + extra + good).encode()
+            )
+            assert status == 200
+            assert (reply["rows_ok"], reply["rows_bad"]) == (4, 1 if extra else 0)
+        with coordinator._lock:
+            coordinator._writers[0].cut()
+        assert SegmentStore.open(coordinator._shard_dir(0)).total_rows == 12
+
     def test_empty_body_is_400(self, make_coordinator):
         coordinator = make_coordinator(n_shards=1)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -140,3 +189,64 @@ class TestIngestPolicy:
                 (HEADER + _csv_rows(_host_flows("10.6.0.1", 0.0, 2))).encode(),
             )
         assert excinfo.value.code == 503
+
+
+class TestColumnarIngest:
+    def test_worker_batches_equal_row_of_over_loads(
+        self, make_coordinator, monkeypatch
+    ):
+        # The coordinator decodes a chunk to columns and never builds a
+        # record; each shard's worker batch must still be exactly the
+        # projection of the flows loads() parses — same rows, same
+        # order (loads() orders by start), same types.
+        coordinator = make_coordinator(n_shards=3, window=1e9)
+        sent = {}
+        for shard, worker in coordinator._workers.items():
+
+            def put(message, _shard=shard, _put=worker.inbox.put):
+                if message[0] == "flows":
+                    sent.setdefault(_shard, []).append(message[2])
+                _put(message)
+
+            monkeypatch.setattr(worker.inbox, "put", put)
+        rng = random.Random(5)
+        hosts = [f"10.5.0.{i}" for i in range(12)]
+        huge = flow_to_row(_host_flows("10.5.0.1", 0.0, 1)[0])
+        huge[ARGUS_COLUMNS.index("src_bytes")] = str(2**63)
+        for c in range(3):
+            flows = []
+            for _ in range(300):
+                start = round(rng.uniform(0.0, 100.0), 1)  # ties + disorder
+                flows.append(
+                    FlowRecord(
+                        src=rng.choice(hosts),
+                        dst=f"192.168.1.{rng.randrange(9)}",
+                        sport=1024,
+                        dport=80,
+                        proto=Protocol.TCP,
+                        start=1000.0 * c + start,
+                        end=1000.0 * c + start + 1.0,
+                        src_bytes=rng.randrange(10**6),
+                        state=rng.choice(list(FlowState)),
+                    )
+                )
+            text = dumps(flows) + "not,a,flow\r\n" + ",".join(huge) + "\r\n"
+            sent.clear()
+            reply = coordinator.ingest(text)
+            expected = {}
+            for flow in loads(text, errors="skip"):
+                shard = coordinator.shard_map.shard_of(flow.src)
+                expected.setdefault(shard, []).append(row_of(flow))
+            got = {shard: batches[0] for shard, batches in sent.items()}
+            assert got == expected
+            assert {
+                shard: [tuple(map(type, row)) for row in rows]
+                for shard, rows in got.items()
+            } == {
+                shard: [tuple(map(type, row)) for row in rows]
+                for shard, rows in expected.items()
+            }
+            assert (reply["rows_ok"], reply["rows_bad"]) == (300, 2)
+            assert reply["shards"] == {
+                str(shard): len(rows) for shard, rows in sorted(expected.items())
+            }
