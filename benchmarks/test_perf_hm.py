@@ -21,19 +21,10 @@ or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_hm.py -q
 
-A second sweep benchmarks the *clustering-level* pruned engine
-(``cluster_hosts(backend="pruned")`` vs the exact ``vectorized``
-matrix path) on modal timer populations — the certified-decomposition shape —
-at 5k-host scale, asserting full suspect-set equivalence at every
-measured size and recording certification stats (groups, pruned-pair
-fraction, rounds) under the report's ``pruned_clustering`` key.
-
 Environment knobs:
 
 * ``REPRO_BENCH_HM_HOSTS`` — comma-separated host counts
   (default ``50,200,500,1000``); CI smoke runs set a small value.
-* ``REPRO_BENCH_HM_PRUNED_HOSTS`` — host counts for the pruned
-  clustering sweep (default ``1000,2000,5000``).
 * ``REPRO_BENCH_HM_OUT`` — output path (default ``<repo>/BENCH_hm.json``).
 """
 
@@ -51,14 +42,11 @@ import numpy as np
 from history import append_history
 
 from repro import obs
-from repro.detection.humanmachine import cluster_hosts
 from repro.stats.emd import pairwise_emd
-from repro.stats.emdindex import pruned_partition
 from repro.stats.histogram import Histogram, build_histogram
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_HOST_COUNTS = (50, 200, 500, 1000)
-DEFAULT_PRUNED_HOST_COUNTS = (1000, 2000, 5000)
 
 #: Equivalence tolerance between backends — the engines integrate the
 #: same merged CDF, so only summation-order float dust may differ.
@@ -85,44 +73,6 @@ def synthesize_histograms(n_hosts: int, seed: int = 7) -> List[Histogram]:
             )
         hists.append(build_histogram(samples))
     return hists
-
-
-def modal_histograms(
-    n_hosts: int, n_modes: int = 4, seed: int = 7
-) -> List[Histogram]:
-    """Hosts drawn from ``n_modes`` tight, well-separated timer families.
-
-    The population shape the pruning engine is built for: bots of one
-    botnet share binary timers, so inter-family EMD dwarfs intra-family
-    spread and the group decomposition certifies from lower bounds.
-    """
-    rng = np.random.default_rng(seed)
-    hists = []
-    for k in range(n_hosts):
-        samples = rng.normal(1.5 * (k % n_modes), 0.02, 150)
-        hists.append(build_histogram(samples.tolist()))
-    return hists
-
-
-def _merge_report(out_path: Path, report: dict, section_keys) -> None:
-    """Write ``report`` to ``out_path``, preserving other sweeps' keys.
-
-    The matrix sweep owns ``results``; the clustering sweep owns
-    ``pruned_clustering``.  Each run refreshes its own section plus the
-    shared header without clobbering the other's measurements.
-    """
-    merged = {}
-    if out_path.exists():
-        try:
-            merged = json.loads(out_path.read_text())
-        except (OSError, ValueError):
-            merged = {}
-    for key, value in report.items():
-        if key in section_keys or key not in merged:
-            merged[key] = value
-    merged["generated_at"] = report["generated_at"]
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"wrote {out_path}")
 
 
 def _time_backend(
@@ -227,7 +177,8 @@ def run_benchmark(
             f"[{o['kernel_blocks']} blocks, obs-on "
             f"{o['enabled_overhead_vs_disabled']:.2f}x]"
         )
-    _merge_report(out_path, report, section_keys={"results"})
+    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out_path}")
     append_history(
         "hm_distance",
         {
@@ -239,99 +190,10 @@ def run_benchmark(
     return report
 
 
-def _time_clustering(
-    histograms: Dict[str, Histogram], backend: str, repeats: int
-):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = cluster_hosts(histograms, 70.0, backend=backend)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def run_pruned_benchmark(
-    host_counts: Sequence[int],
-    out_path: Path,
-    repeats: int = 2,
-) -> dict:
-    """Clustering-level sweep: pruned engine vs the exact vectorized path.
-
-    Every scale asserts full equivalence — identical clusters, kept
-    set, τ_hm and diameters (to ``ATOL``) — so the recorded speedups
-    are speedups *at the same answer*.
-    """
-    report = {
-        "benchmark": "theta_hm pairwise EMD distance engine",
-        "generated_by": "benchmarks/test_perf_hm.py",
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "cpu_count": os.cpu_count(),
-        "atol": ATOL,
-        "pruned_clustering": [],
-    }
-    for n_hosts in host_counts:
-        hists = modal_histograms(n_hosts)
-        histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
-        pruned_s, pruned = _time_clustering(histograms, "pruned", repeats)
-        exact_s, exact = _time_clustering(histograms, "vectorized", 1)
-        if pruned.clusters != exact.clusters or pruned.kept != exact.kept:
-            raise AssertionError(
-                f"pruned clustering diverges from vectorized at {n_hosts} hosts"
-            )
-        diff = float(
-            np.abs(np.asarray(pruned.diameters) - np.asarray(exact.diameters)).max()
-        )
-        if diff > ATOL or abs(pruned.threshold - exact.threshold) > ATOL:
-            raise AssertionError(
-                f"pruned diameters/threshold diverge at {n_hosts} hosts: "
-                f"max|diff|={diff:g}"
-            )
-        _members, _diams, prune_report = pruned_partition(hists, 0.05)
-        entry = {
-            "n_hosts": n_hosts,
-            "n_pairs": n_hosts * (n_hosts - 1) // 2,
-            "pruned_seconds": pruned_s,
-            "vectorized_seconds": exact_s,
-            "speedup_vs_vectorized": exact_s / pruned_s,
-            "max_abs_diameter_diff": diff,
-            "certified": prune_report.certified,
-            "fallback_reason": prune_report.fallback_reason,
-            "groups": prune_report.groups,
-            "rounds": prune_report.rounds,
-            "prune_fraction": prune_report.prune_fraction,
-        }
-        report["pruned_clustering"].append(entry)
-        print(
-            f"n_hosts={n_hosts:5d}  pruned={pruned_s:8.3f}s  "
-            f"vectorized={exact_s:8.3f}s "
-            f"({entry['speedup_vs_vectorized']:6.1f}x)  "
-            f"certified={prune_report.certified} "
-            f"prune_frac={prune_report.prune_fraction:.3f} "
-            f"rounds={prune_report.rounds}"
-        )
-    _merge_report(out_path, report, section_keys={"pruned_clustering"})
-    append_history(
-        "hm_pruned_clustering",
-        {
-            f"pruned_seconds@n{entry['n_hosts']}": entry["pruned_seconds"]
-            for entry in report["pruned_clustering"]
-        },
-    )
-    return report
-
-
 def _configured_host_counts() -> List[int]:
     raw = os.environ.get("REPRO_BENCH_HM_HOSTS")
     if not raw:
         return list(DEFAULT_HOST_COUNTS)
-    return [int(part) for part in raw.split(",") if part.strip()]
-
-
-def _configured_pruned_host_counts() -> List[int]:
-    raw = os.environ.get("REPRO_BENCH_HM_PRUNED_HOSTS")
-    if not raw:
-        return list(DEFAULT_PRUNED_HOST_COUNTS)
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
@@ -390,20 +252,5 @@ def test_perf_hm_distance_engine():
     assert report["results"], "benchmark produced no measurements"
 
 
-def test_perf_hm_pruned_clustering():
-    """Clustering-level pruned sweep under pytest.
-
-    Equivalence at every scale is asserted inside
-    :func:`run_pruned_benchmark`; speedups are recorded, not asserted.
-    """
-    report = run_pruned_benchmark(
-        _configured_pruned_host_counts(), _configured_out_path()
-    )
-    assert report["pruned_clustering"], "benchmark produced no measurements"
-
-
 if __name__ == "__main__":
     run_benchmark(_configured_host_counts(), _configured_out_path())
-    run_pruned_benchmark(
-        _configured_pruned_host_counts(), _configured_out_path()
-    )

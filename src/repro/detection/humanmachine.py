@@ -27,12 +27,18 @@ from ..stats.clustering import (
     cluster_diameters,
     cut_top_links,
 )
-from ..stats.emd import pairwise_emd, resolve_backend
+from ..stats.emd import pairwise_emd
 from ..stats.histogram import Histogram, build_histogram
 from ..stats.thresholds import percentile_threshold
 from .testbase import TestResult
 
-__all__ = ["HmClustering", "theta_hm", "host_histograms"]
+__all__ = [
+    "HmClustering",
+    "cluster_hosts",
+    "cluster_matrix",
+    "host_histograms",
+    "theta_hm",
+]
 
 #: Hosts need at least this many interstitial samples for a meaningful
 #: histogram; below it the density estimate is pure sampling noise and
@@ -51,9 +57,6 @@ class HmClustering:
 
     Carries the clusters, their diameters, and the applied threshold so
     the evaluation (and the evasion study) can see how hosts grouped.
-    ``backend`` is the *resolved* pairwise-EMD engine that actually ran
-    (never ``"auto"``), so callers and tests can observe which engine a
-    given population landed on.
     """
 
     hosts: Tuple[str, ...]
@@ -61,7 +64,6 @@ class HmClustering:
     diameters: Tuple[float, ...]
     threshold: float
     kept: Tuple[Tuple[str, ...], ...]
-    backend: str = "vectorized"
 
 
 def host_histograms(
@@ -97,95 +99,77 @@ def host_histograms(
     return histograms
 
 
+def cluster_matrix(
+    hosts: Sequence[str],
+    distance: np.ndarray,
+    percentile: float,
+    cut_fraction: float = DEFAULT_CUT_FRACTION,
+    min_cluster_size: int = 2,
+) -> HmClustering:
+    """Cluster ``hosts`` by a pairwise ``distance`` matrix and keep tight
+    clusters.
+
+    Average linkage with the top-``cut_fraction`` link cut forms the
+    clusters; ``percentile`` sets τ_hm as a percentile of the cluster
+    diameters — the paper's dynamic threshold over "the diameters across
+    all clusters".  Clusters smaller than ``min_cluster_size`` are never
+    kept: the test's evidence is *similarity between hosts* (bots of one
+    botnet share binary timers), and a singleton exhibits none.
+
+    ``distance[i, j]`` is the distance between ``hosts[i]`` and
+    ``hosts[j]``; θ_hm passes its EMD matrix, the ablations their own
+    (per-pair EMD or L1) and the tests the ``loop`` oracle's.
+    """
+    hosts = tuple(hosts)
+    if not hosts:
+        return HmClustering(
+            hosts=(), clusters=(), diameters=(), threshold=0.0, kept=()
+        )
+    with span("linkage", hosts=len(hosts)):
+        member_lists = cut_top_links(average_linkage(distance), cut_fraction)
+    diameters = cluster_diameters(distance, member_lists)
+    clusters = tuple(
+        tuple(hosts[i] for i in members) for members in member_lists
+    )
+    threshold = percentile_threshold(list(diameters), percentile)
+    # The tolerance absorbs float dust when many diameters tie (e.g.
+    # several exactly-zero bot clusters and an interpolated percentile).
+    kept = tuple(
+        cluster
+        for cluster, diameter in zip(clusters, diameters)
+        if diameter <= threshold + 1e-9 and len(cluster) >= min_cluster_size
+    )
+    return HmClustering(
+        hosts=hosts,
+        clusters=clusters,
+        diameters=diameters,
+        threshold=threshold,
+        kept=kept,
+    )
+
+
 def cluster_hosts(
     histograms: Dict[str, Histogram],
     percentile: float,
     cut_fraction: float = DEFAULT_CUT_FRACTION,
     min_cluster_size: int = 2,
-    backend: str = "auto",
 ) -> HmClustering:
-    """Cluster hosts by EMD and keep tight clusters.
-
-    ``percentile`` sets τ_hm as a percentile of the cluster diameters —
-    the paper's dynamic threshold over "the diameters across all
-    clusters".  Clusters smaller than ``min_cluster_size`` are never
-    kept: the test's evidence is *similarity between hosts* (bots of one
-    botnet share binary timers), and a singleton exhibits none.
-
-    ``backend`` selects the :func:`repro.stats.emd.pairwise_emd` engine;
-    every backend produces the same clusters, diameters, τ_hm and kept
-    set (pinned to atol=1e-12 by the equivalence suite), so results do
-    not depend on the choice.  The ``"pruned"`` backend skips provably
-    irrelevant host pairs via :mod:`repro.stats.emdindex`.  The engine
-    that actually ran is reported on the result's ``backend`` field and
-    the span.
-    """
+    """:func:`cluster_matrix` over the pairwise EMD of the hosts'
+    histograms (hosts in sorted order)."""
     hosts = tuple(sorted(histograms))
-    if not hosts:
-        return HmClustering(
-            hosts=(), clusters=(), diameters=(), threshold=0.0, kept=()
-        )
-    if len(hosts) == 1:
-        only = (hosts[0],)
-        kept_single = (only,) if min_cluster_size <= 1 else ()
-        return HmClustering(
-            hosts=hosts,
-            clusters=(only,),
-            diameters=(0.0,),
-            threshold=0.0,
-            kept=kept_single,
-        )
     n = len(hosts)
-    resolved = resolve_backend(backend, n)
-    with span(
-        "cluster_hosts",
-        hosts=n,
-        pairs=n * (n - 1) // 2,
-        backend=backend,
-        resolved_backend=resolved,
-    ) as s:
-        if resolved == "pruned":
-            from ..stats.emdindex import pruned_partition
-
-            with span("emd_pruned_partition", hosts=n) as ps:
-                member_lists, diameters, report = pruned_partition(
-                    [histograms[h] for h in hosts], cut_fraction
-                )
-                ps.set(
-                    certified=report.certified,
-                    groups=report.groups,
-                    pairs_pruned=report.pairs_pruned,
-                    fallback_reason=report.fallback_reason,
-                )
-        else:
-            with span("emd_matrix", hosts=n, backend=resolved):
-                distance = pairwise_emd(
-                    [histograms[h] for h in hosts], backend=resolved
-                )
-            with span("linkage", hosts=n):
-                dendrogram = average_linkage(distance)
-                member_lists = cut_top_links(dendrogram, cut_fraction)
-            diameters = cluster_diameters(distance, member_lists)
-        clusters = tuple(
-            tuple(hosts[i] for i in members) for members in member_lists
+    with span("cluster_hosts", hosts=n, pairs=n * (n - 1) // 2) as s:
+        with span("emd_matrix", hosts=n):
+            distance = pairwise_emd([histograms[h] for h in hosts])
+        clustering = cluster_matrix(
+            hosts, distance, percentile, cut_fraction, min_cluster_size
         )
-        threshold = percentile_threshold(list(diameters), percentile)
-        # The tolerance absorbs float dust when many diameters tie (e.g.
-        # several exactly-zero bot clusters and an interpolated percentile).
-        kept = tuple(
-            cluster
-            for cluster, diameter in zip(clusters, diameters)
-            if diameter <= threshold + 1e-9 and len(cluster) >= min_cluster_size
+        s.set(
+            clusters=len(clustering.clusters),
+            kept=len(clustering.kept),
+            threshold=clustering.threshold,
         )
-        s.set(clusters=len(clusters), kept=len(kept), threshold=threshold)
-    return HmClustering(
-        hosts=hosts,
-        clusters=clusters,
-        diameters=tuple(diameters),
-        threshold=threshold,
-        kept=kept,
-        backend=resolved,
-    )
+    return clustering
 
 
 def theta_hm(

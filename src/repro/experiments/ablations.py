@@ -26,13 +26,13 @@ from ..baselines.failedconn import FailedConnDetector
 from ..baselines.tdg import TdgDetector
 from ..baselines.volume_only import VolumeOnlyDetector
 from ..detection.churn import churn_metric, theta_churn
-from ..detection.humanmachine import MIN_SAMPLES, theta_hm
+from ..detection.humanmachine import MIN_SAMPLES, cluster_matrix, theta_hm
 from ..detection.pipeline import PipelineConfig, find_plotters
 from ..detection.reduction import initial_data_reduction
 from ..detection.volume import theta_vol, volume_metric
-from ..stats.clustering import agglomerate, cluster_diameter, cut_top_links
+from ..stats.emd import emd_1d
 from ..stats.histogram import Histogram, build_histogram
-from ..stats.thresholds import percentile_threshold, select_below
+from ..stats.thresholds import select_below
 from .config import ExperimentContext
 from .tables import render_table
 
@@ -139,8 +139,6 @@ def _hm_selected(
     log_scale: bool = True,
 ) -> Set[str]:
     """θ_hm with pluggable binning/distance, on the day's usual input."""
-    from ..stats.emd import emd_1d
-
     features = ctx.features(day)
     result = ctx.pipeline_result(day)
     union = sorted(result.union_vol_churn)
@@ -156,8 +154,6 @@ def _hm_selected(
             samples = [float(np.log10(max(s, 1e-3))) for s in samples]
         histograms[host] = histogram_builder(samples)
     hosts = sorted(histograms)
-    if len(hosts) < 2:
-        return set(hosts)
     n = len(hosts)
     dist = np.zeros((n, n))
     for i in range(n):
@@ -165,16 +161,13 @@ def _hm_selected(
             d = metric(histograms[hosts[i]], histograms[hosts[j]])
             dist[i, j] = d
             dist[j, i] = d
-    dend = agglomerate(dist, "average")
-    members = cut_top_links(dend, ctx.config.pipeline.hm_cut_fraction)
-    diameters = [cluster_diameter(dist, m) for m in members]
-    threshold = percentile_threshold(diameters, ctx.config.pipeline.hm_percentile)
-    return {
-        hosts[i]
-        for m, d in zip(members, diameters)
-        if d <= threshold + 1e-9 and len(m) >= 2
-        for i in m
-    }
+    clustering = cluster_matrix(
+        hosts,
+        dist,
+        ctx.config.pipeline.hm_percentile,
+        ctx.config.pipeline.hm_cut_fraction,
+    )
+    return {host for cluster in clustering.kept for host in cluster}
 
 
 def run_ablation_distance(ctx: ExperimentContext) -> AblationResult:

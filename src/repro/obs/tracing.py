@@ -2,16 +2,16 @@
 
 A *span* measures one named unit of work — a pipeline stage, a
 clustering pass, an online-window evaluation — recording wall-clock
-and CPU time plus arbitrary attributes (host counts, thresholds,
-backends).  Spans nest: a context-variable stack links each span to
-its parent, so one ``find_plotters`` run produces a tree::
+and CPU time plus arbitrary attributes (host counts, thresholds).
+Spans nest: a context-variable stack links each span to its parent,
+so one ``find_plotters`` run produces a tree::
 
     find_plotters
       reduction        input_hosts=412 surviving_hosts=206 threshold=0.031
       theta_vol        input_hosts=206 surviving_hosts=104 ...
       theta_churn      ...
       theta_hm         input_hosts=129 surviving_hosts=18  ...
-        cluster_hosts  hosts=97 pairs=4656 backend=vectorized
+        cluster_hosts  hosts=97 pairs=4656 clusters=12 kept=4
           emd_matrix
           linkage
 

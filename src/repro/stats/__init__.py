@@ -3,27 +3,16 @@
 from .histogram import Histogram, build_histogram, freedman_diaconis_width
 from .emd import (
     PAIRWISE_BACKENDS,
-    PRUNED_MIN_HOSTS,
     emd,
     emd_1d,
-    emd_transport,
     pairwise_emd,
-    resolve_backend,
     signature_arrays,
-)
-from .emdindex import (
-    EmdIndex,
-    PruneReport,
-    build_index,
-    pruned_matrix,
-    pruned_partition,
 )
 from .clustering import (
     DEFAULT_CUT_FRACTION,
     Dendrogram,
     Merge,
     average_linkage,
-    cluster_by_emd_cut,
     cluster_diameter,
     cluster_diameters,
     cut_top_links,
@@ -43,11 +32,6 @@ from .roc import (
 )
 from .ecdf import ecdf, ecdf_at, quantile_series
 from .bootstrap import ConfidenceInterval, bootstrap_mean_ci
-from .dendro import (
-    cophenetic_correlation,
-    cophenetic_matrix,
-    render_dendrogram,
-)
 
 __all__ = [
     "Histogram",
@@ -55,22 +39,13 @@ __all__ = [
     "freedman_diaconis_width",
     "emd",
     "emd_1d",
-    "emd_transport",
     "pairwise_emd",
-    "resolve_backend",
     "signature_arrays",
     "PAIRWISE_BACKENDS",
-    "PRUNED_MIN_HOSTS",
-    "EmdIndex",
-    "PruneReport",
-    "build_index",
-    "pruned_matrix",
-    "pruned_partition",
     "DEFAULT_CUT_FRACTION",
     "Dendrogram",
     "Merge",
     "average_linkage",
-    "cluster_by_emd_cut",
     "cluster_diameter",
     "cluster_diameters",
     "cut_top_links",
@@ -88,7 +63,4 @@ __all__ = [
     "quantile_series",
     "ConfidenceInterval",
     "bootstrap_mean_ci",
-    "cophenetic_correlation",
-    "cophenetic_matrix",
-    "render_dendrogram",
 ]

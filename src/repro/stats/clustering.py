@@ -22,13 +22,10 @@ import numpy as np
 __all__ = [
     "Merge",
     "Dendrogram",
-    "agglomerate",
     "average_linkage",
-    "complete_linkage",
     "cut_top_links",
     "cluster_diameter",
     "cluster_diameters",
-    "cluster_by_emd_cut",
 ]
 
 #: Fraction of heaviest dendrogram links removed to form clusters (§IV-C).
@@ -66,21 +63,17 @@ class Dendrogram:
             )
 
 
-def agglomerate(distance: np.ndarray, linkage: str = "average") -> Dendrogram:
-    """Build an agglomerative dendrogram from a distance matrix.
+def average_linkage(distance: np.ndarray) -> Dendrogram:
+    """Average-linkage (UPGMA) dendrogram of a distance matrix.
 
-    ``linkage`` selects the inter-cluster distance used both to pick the
-    next merge and as the link weight: ``"average"`` (UPGMA — the
-    paper's "average distance between the pair of nodes it connects")
-    or ``"complete"`` (maximum pairwise distance, which produces compact
-    clusters that resist absorbing outliers).
+    The inter-cluster distance, used both to pick the next merge and as
+    the link weight, is the paper's "average distance between the pair
+    of nodes it connects".
 
     ``distance`` must be a symmetric (n, n) matrix with a zero diagonal.
     Runs in O(n^3) time over a dense copy — ample for the per-day host
     populations the detector clusters (hundreds of hosts).
     """
-    if linkage not in ("average", "complete"):
-        raise ValueError(f"unknown linkage {linkage!r}")
     dist = np.array(distance, dtype=float, copy=True)
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -118,12 +111,8 @@ def agglomerate(distance: np.ndarray, linkage: str = "average") -> Dendrogram:
             )
         )
         # Lance–Williams update: the new cluster's distance to any other
-        # is the size-weighted mean (average linkage) or the maximum
-        # (complete linkage) of the two parts' distances.
-        if linkage == "average":
-            row = (size_i * dist[pi] + size_j * dist[pj]) / merged_size
-        else:
-            row = np.maximum(dist[pi], dist[pj])
+        # is the size-weighted mean of the two parts' distances.
+        row = (size_i * dist[pi] + size_j * dist[pj]) / merged_size
         row[~alive] = np.inf
         row[pi] = np.inf
         dist[pi, :] = row
@@ -136,16 +125,6 @@ def agglomerate(distance: np.ndarray, linkage: str = "average") -> Dendrogram:
         next_label += 1
 
     return Dendrogram(n_items=n, merges=tuple(merges))
-
-
-def average_linkage(distance: np.ndarray) -> Dendrogram:
-    """Average-linkage (UPGMA) dendrogram — see :func:`agglomerate`."""
-    return agglomerate(distance, linkage="average")
-
-
-def complete_linkage(distance: np.ndarray) -> Dendrogram:
-    """Complete-linkage dendrogram — see :func:`agglomerate`."""
-    return agglomerate(distance, linkage="complete")
 
 
 def cut_top_links(
@@ -213,19 +192,7 @@ def cluster_diameter(distance: np.ndarray, members: Sequence[int]) -> float:
 def cluster_diameters(
     distance: np.ndarray, member_lists: Sequence[Sequence[int]]
 ) -> Tuple[float, ...]:
-    """Diameter of each cluster in one pass over the distance matrix.
-
-    Equivalent to mapping :func:`cluster_diameter` over ``member_lists``
-    but submatrix extraction is batched per cluster, which is what the
-    θ_hm hot path wants after a single :func:`pairwise_emd` call.
-    """
+    """:func:`cluster_diameter` of each member list, in order."""
     return tuple(
         cluster_diameter(distance, members) for members in member_lists
     )
-
-
-def cluster_by_emd_cut(
-    distance: np.ndarray, fraction: float = DEFAULT_CUT_FRACTION
-) -> List[List[int]]:
-    """Convenience: average-linkage dendrogram + top-``fraction`` cut."""
-    return cut_top_links(average_linkage(distance), fraction)

@@ -6,37 +6,23 @@ distribution into the other, where moving mass ``m`` over ground distance
 ``d`` costs ``m * d``.  The general formulation is a transportation
 problem [50]; for one-dimensional signatures with ground distance
 ``|x - y|`` and equal total mass it has a closed form — the area between
-the two CDFs.
-
-Three per-pair solvers are provided:
-
-* :func:`emd_1d` — the exact O(n log n) closed form used in production;
-* :func:`emd_transport` — a scipy ``linprog`` transportation solve, kept
-  as an independent oracle for the property tests.
+the two CDFs, computed by :func:`emd_1d`.  (The test suite checks it
+against an explicit transportation LP.)
 
 θ_hm needs the full pairwise matrix over a host population, which is the
-pipeline's hot path.  :func:`pairwise_emd` dispatches between backends:
+pipeline's hot path.  :func:`pairwise_emd` has one engine and one oracle:
 
-* ``"vectorized"`` — pads all signatures into dense ``(n_hosts,
-  max_bins)`` position/weight arrays and evaluates the merged-CDF
-  integral for whole blocks of pairs with numpy array ops (no per-pair
-  Python calls);
-* ``"pruned"`` — candidate-pruned: pairs whose exact EMD is derivable
-  without the kernel (disjoint-support pairs, where 1-D EMD collapses
-  to the difference of means) are filled from the closed form and only
-  the surviving overlapping pairs go through the cache-blocked kernel
-  (see :mod:`repro.stats.emdindex`; θ_hm additionally uses the index's
-  certified group decomposition, which skips inter-group pairs
-  entirely);
-* ``"auto"`` (default) — ``vectorized`` below ``PRUNED_MIN_HOSTS``
-  hosts, ``pruned`` from there up (see :func:`resolve_backend`);
-* ``"loop"`` — the original per-pair Python loop, kept as the test
-  oracle; only an explicit ``backend="loop"`` reaches it.
+* ``"vectorized"`` (default) — pads all signatures into dense
+  ``(n_hosts, max_bins)`` position/weight arrays and evaluates the
+  merged-CDF integral for whole blocks of pairs with numpy array ops
+  (no per-pair Python calls);
+* ``"loop"`` — the per-pair :func:`emd_1d` loop, kept as the test
+  oracle.
 
-All backends produce the exact distance — they integrate the same
-merged CDF (or an algebraically equal closed form), differing only in
-summation order (float dust at the 1e-15 scale); equivalence is pinned
-by the test suite at ``atol=1e-12``.
+Both integrate the same merged CDF, differing only in summation order
+(float dust at the 1e-15 scale); equivalence is pinned by the test
+suite at ``atol=1e-12``.  Time and memory are quadratic in the host
+count.
 """
 
 from __future__ import annotations
@@ -45,29 +31,20 @@ import time
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..obs import metrics as obs_metrics
 from .histogram import Histogram
 
 __all__ = [
     "emd_1d",
-    "emd_transport",
     "emd",
     "pairwise_emd",
-    "resolve_backend",
     "signature_arrays",
     "PAIRWISE_BACKENDS",
-    "PRUNED_MIN_HOSTS",
 ]
 
 #: Backends accepted by :func:`pairwise_emd`.
-PAIRWISE_BACKENDS = ("auto", "loop", "vectorized", "pruned")
-
-#: ``"auto"`` switches from the vectorized kernel to the
-#: candidate-pruning index at this host count, where the index
-#: amortises its O(n·bins) build cost.
-PRUNED_MIN_HOSTS = 4000
+PAIRWISE_BACKENDS = ("vectorized", "loop")
 
 #: Target float64 elements per vectorized block.  Chosen so one block's
 #: working set (~6 arrays of this size) stays cache-resident: larger
@@ -79,12 +56,12 @@ _BLOCK_ELEMENTS = 131_072
 # disabled-mode cost is one boolean per _condensed_blocks call).
 _BACKEND_SELECTED = obs_metrics.counter(
     "repro_emd_backend_selected_total",
-    "pairwise_emd invocations by resolved backend",
+    "pairwise_emd invocations by backend",
     labels=("backend",),
 )
 _PAIRS_TOTAL = obs_metrics.counter(
     "repro_emd_pairs_total",
-    "Host pairs whose EMD was computed, by resolved backend",
+    "Host pairs whose EMD was computed, by backend",
     labels=("backend",),
 )
 _BLOCKS_TOTAL = obs_metrics.counter(
@@ -98,10 +75,6 @@ _BLOCK_SECONDS = obs_metrics.histogram(
 )
 
 
-def _as_signature(hist: Histogram) -> Tuple[np.ndarray, np.ndarray]:
-    return hist.as_arrays()
-
-
 def emd_1d(a: Histogram, b: Histogram) -> float:
     """Exact 1-D EMD with ground distance ``|x - y|``.
 
@@ -109,8 +82,8 @@ def emd_1d(a: Histogram, b: Histogram) -> float:
     signatures' CDFs over the merged support — the standard closed form
     of the transportation problem on the line.
     """
-    pos_a, w_a = _as_signature(a)
-    pos_b, w_b = _as_signature(b)
+    pos_a, w_a = a.as_arrays()
+    pos_b, w_b = b.as_arrays()
     positions = np.concatenate([pos_a, pos_b])
     masses = np.concatenate([w_a, -w_b])
     order = np.argsort(positions, kind="mergesort")
@@ -120,34 +93,6 @@ def emd_1d(a: Histogram, b: Histogram) -> float:
     cdf_diff = np.cumsum(masses)[:-1]
     gaps = np.diff(positions)
     return float(np.sum(np.abs(cdf_diff) * gaps))
-
-
-def emd_transport(a: Histogram, b: Histogram) -> float:
-    """EMD via an explicit transportation linear program (oracle).
-
-    Minimise ``sum_ij c_ij f_ij`` subject to row sums equal to the source
-    weights and column sums equal to the sink weights, ``f_ij >= 0``,
-    with ``c_ij = |x_i - y_j|``.  Exponential in neither n nor m, but much
-    slower than :func:`emd_1d`; used to cross-validate it in tests.
-    """
-    pos_a, w_a = _as_signature(a)
-    pos_b, w_b = _as_signature(b)
-    n, m = len(pos_a), len(pos_b)
-    cost = np.abs(pos_a[:, None] - pos_b[None, :]).ravel()
-
-    # Equality constraints: each source bin ships exactly its weight,
-    # each sink bin receives exactly its weight.
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    b_eq = np.concatenate([w_a, w_b])
-
-    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs")
-    if not result.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"transportation LP failed: {result.message}")
-    return float(result.fun)
 
 
 def emd(a: Histogram, b: Histogram) -> float:
@@ -291,29 +236,6 @@ def _sorted_signatures(
     return order, positions, weights, bins[order]
 
 
-def condensed_for_pairs(
-    histograms: Sequence[Histogram],
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """Exact EMDs for an explicit pair list, via the blocked kernel.
-
-    The entry point the candidate-pruning index uses: after bounds
-    analysis decides which pairs survive, only those ``(rows[k],
-    cols[k])`` pairs are evaluated — with exactly the same merged-CDF
-    kernel as the full backends.  Hosts are packed densely in caller
-    order; orderings that keep consecutive pairs at similar signature
-    widths get the best block truncation.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if len(rows) == 0:
-        return np.zeros(0, dtype=float)
-    positions, weights = signature_arrays(histograms)
-    bins = np.array([len(h.centers) for h in histograms], dtype=np.int64)
-    return _condensed_blocks(positions, weights, bins, rows, cols)
-
-
 def _pairwise_vectorized(histograms: Sequence[Histogram]) -> np.ndarray:
     n = len(histograms)
     matrix = np.zeros((n, n), dtype=float)
@@ -329,45 +251,22 @@ def _pairwise_vectorized(histograms: Sequence[Histogram]) -> np.ndarray:
     return matrix
 
 
-def resolve_backend(backend: str, n_hosts: int) -> str:
-    """The concrete engine ``pairwise_emd`` will run for this request.
+def pairwise_emd(
+    histograms: Sequence[Histogram], backend: str = "vectorized"
+) -> np.ndarray:
+    """Symmetric matrix of EMDs between all pairs of histograms.
 
-    Resolution is a pure function of the backend name and the host
-    count, so callers (``cluster_hosts``, the benchmarks, the boundary
-    unit tests) can observe and pin it instead of inferring it from
-    counters.  ``"auto"`` resolves to ``"vectorized"`` below
-    ``PRUNED_MIN_HOSTS`` hosts and to ``"pruned"`` from there up; an
-    explicit backend passes through unchanged.
+    ``backend`` is ``"vectorized"`` (the batched merged-CDF kernel) or
+    ``"loop"`` (the per-pair reference the tests compare against); both
+    return the exact matrix.
     """
     if backend not in PAIRWISE_BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {PAIRWISE_BACKENDS}"
         )
-    if backend != "auto":
-        return backend
-    return "pruned" if n_hosts >= PRUNED_MIN_HOSTS else "vectorized"
-
-
-def pairwise_emd(
-    histograms: Sequence[Histogram], backend: str = "auto"
-) -> np.ndarray:
-    """Symmetric matrix of EMDs between all pairs of histograms.
-
-    ``backend`` selects the engine (see module docstring):
-    ``"vectorized"`` the batched merged-CDF kernel, ``"pruned"`` the
-    candidate-pruned engine (closed-form fill for disjoint-support
-    pairs, kernel for the rest), ``"loop"`` the per-pair reference, and
-    ``"auto"`` picks by population size (see :func:`resolve_backend`).
-    Every backend returns the exact matrix.
-    """
-    backend = resolve_backend(backend, len(histograms))
     n = len(histograms)
     _BACKEND_SELECTED.inc(backend=backend)
     _PAIRS_TOTAL.inc(n * (n - 1) // 2, backend=backend)
     if backend == "loop":
         return _pairwise_loop(histograms)
-    if backend == "pruned":
-        from .emdindex import pruned_matrix
-
-        return pruned_matrix(histograms)
     return _pairwise_vectorized(histograms)

@@ -6,11 +6,13 @@ import pytest
 from repro.detection.humanmachine import (
     MIN_SAMPLES,
     cluster_hosts,
+    cluster_matrix,
     host_histograms,
     theta_hm,
 )
 from repro.flows import FlowRecord, FlowStore, Protocol
 from repro.flows.metrics import extract_all_features
+from repro.stats.emd import pairwise_emd
 from repro.stats.histogram import build_histogram
 
 
@@ -128,12 +130,19 @@ class TestClusterHosts:
             flows += irregular_flows(f"human{i}", seed=i + 1, n=60)
         hosts = [f"bot{i}" for i in range(3)] + [f"human{i}" for i in range(3)]
         histograms = host_histograms(features_of(flows), hosts)
-        results = [
-            cluster_hosts(histograms, 70.0, backend=backend)
-            for backend in ("loop", "vectorized", "pruned")
-        ]
-        assert results[0].clusters == results[1].clusters == results[2].clusters
-        assert results[0].kept == results[1].kept == results[2].kept
+        names = sorted(histograms)
+        oracle = cluster_matrix(
+            names,
+            pairwise_emd([histograms[h] for h in names], backend="loop"),
+            70.0,
+        )
+        production = cluster_hosts(histograms, 70.0)
+        assert production.clusters == oracle.clusters
+        assert production.kept == oracle.kept
+        np.testing.assert_allclose(
+            production.diameters, oracle.diameters, atol=1e-12, rtol=0.0
+        )
+        assert production.threshold == pytest.approx(oracle.threshold, abs=1e-12)
 
     def test_identical_bots_cluster_together(self):
         flows = []
@@ -150,6 +159,26 @@ class TestClusterHosts:
         assert bot_cluster is not None
         assert set(bot_cluster) >= {f"bot{i}" for i in range(4)}
 
+
+class TestClusterMatrix:
+    """θ_hm's keep rule over a caller's distance matrix (the ablation's
+    L1 distance, or the tests' loop oracle)."""
+
+    def test_keeps_tight_groups_of_any_metric(self):
+        points = [0.0, 0.1, 0.2, 50.0, 50.1, 50.2, 200.0, 260.0]
+        hosts = [f"h{i}" for i in range(len(points))]
+        pts = np.asarray(points)
+        distance = np.abs(pts[:, None] - pts[None, :])
+        clustering = cluster_matrix(hosts, distance, 70.0, cut_fraction=0.3)
+        kept = {h for cluster in clustering.kept for h in cluster}
+        assert kept == {"h0", "h1", "h2", "h3", "h4", "h5"}
+        assert set(clustering.hosts) == set(hosts)
+
+    def test_lone_host_is_never_kept(self):
+        clustering = cluster_matrix(["only"], np.zeros((1, 1)), 70.0)
+        assert clustering.clusters == (("only",),)
+        assert clustering.diameters == (0.0,)
+        assert clustering.kept == ()
 
 class TestThetaHm:
     def test_bots_survive_humans_filtered(self):

@@ -1,7 +1,13 @@
 """Tests for the FindPlotters pipeline and its reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.detection.report import average_reports, evaluate_pipeline
 
@@ -98,3 +104,25 @@ class TestAverageReports:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_reports([])
+
+
+def test_pipeline_import_loads_no_scipy():
+    """scipy is a test-only dependency: the detector must not import it."""
+    code = (
+        "import sys, repro.detection.pipeline;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=120,
+    )
+    assert child.stdout.strip() == "[]"

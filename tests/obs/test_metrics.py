@@ -219,11 +219,7 @@ class TestThreadSafety:
         assert snap["buckets"]["+Inf"] == n_threads * n_obs
 
     def test_pairwise_emd_from_threads_counts_all_pairs(self, enabled_obs):
-        """The EMD engine's telemetry is consistent under thread fan-out.
-
-        (The *parallel* backend uses processes, whose metrics stay
-        process-local by design; threads are the sharing case.)
-        """
+        """The EMD engine's telemetry is consistent under thread fan-out."""
         import numpy as np
 
         from repro.stats.emd import pairwise_emd

@@ -1,24 +1,24 @@
 """Regenerate ``pruning_corpus.json`` — adversarial θ_hm populations.
 
 Each population is engineered to sit within float dust of one of the
-decision boundaries the pruned EMD engine must never flip:
+decision boundaries downstream of the EMD matrix that θ_hm must never
+flip:
 
-* ``cut_tie``     — the k'-th and (k'+1)-th heaviest within-group links
-                    differ by 2^-40 (≈9.1e-13).  The full run breaks
-                    this tie by global merge index; the pruned engine
-                    must detect the tie and take the exact path.
-* ``cut_clear``   — the same family structure with a wide boundary gap;
-                    the pruned engine must certify and cut identically.
+* ``cut_tie``     — the 2nd and 3rd heaviest within-family links differ
+                    by 2^-30 (≈9.3e-10), so the top-k link cut must
+                    take the 8.0 family's link and leave the
+                    (8 − 2^-30) family whole.
+* ``cut_clear``   — the same family structure with a wide boundary gap.
 * ``tau_dust``    — two cluster diameters straddle τ_hm's keep
-                    tolerance (τ + 1e-9) by 2^-48 below and 2^-28
-                    above; keep/drop must match the loop backend on
-                    both sides.
+                    tolerance (τ + 1e-9) by 2^-32 on either side;
+                    keep/drop must land on the pinned side of both.
 
 Every host is a point-mass histogram at a dyadic-rational position, so
 EMD values, UPGMA merge weights and diameters are *bit-exact* in IEEE
 double arithmetic — the boundaries land exactly where they are placed.
-The script verifies every expectation against both backends before
-writing, so a committed corpus is a checked corpus.
+The script verifies every expectation, and the vectorized EMD engine
+against the ``loop`` oracle, before writing, so a committed corpus is a
+checked corpus.
 
 Run from the repo root::
 
@@ -30,17 +30,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from repro.detection.humanmachine import cluster_hosts
-from repro.stats.emdindex import pruned_partition
+from repro.detection.humanmachine import cluster_hosts, cluster_matrix
+from repro.stats.emd import pairwise_emd
 from repro.stats.histogram import Histogram
 
 OUT = Path(__file__).with_name("pruning_corpus.json")
 
 #: Families sit this far apart — vastly above any intra-family scale,
-#: so the lower-bound scan separates them in one round.  Small enough
-#: (2^13) that sub-nanosecond diameter dust stays representable when
+#: so every cross-family link outweighs every within-family one.
+#: Small enough (2^13) that sub-nanosecond diameter dust stays representable when
 #: added to a family's base position (ulp at the largest base is
 #: ~1.5e-11, well inside the 1e-9 windows engineered below).
 BASE_GAP = float(2**13)
@@ -57,8 +55,9 @@ def family(base: float, diameter: float, n_low: int, n_high: int) -> list:
     """A timer family: two clone subclusters ``diameter`` apart.
 
     The high position is the *float-rounded* ``base + diameter``; the
-    realized diameter (what both EMD engines will compute, exactly, via
-    Sterbenz subtraction) is :func:`realized` of the same inputs.
+    realized diameter (what the EMD engine and its oracle compute,
+    exactly, via Sterbenz subtraction) is :func:`realized` of the same
+    inputs.
     """
     return [point_mass(base)] * n_low + [point_mass(base + diameter)] * n_high
 
@@ -105,9 +104,7 @@ def build_tau_population() -> tuple:
             hosts.extend(family(g * BASE_GAP, d, 10, 10))
         return hosts
 
-    ref = cluster_hosts(
-        as_host_dict(build(diameters)), PERCENTILE, backend="loop"
-    )
+    ref = loop_clustering(build(diameters))
     threshold = ref.threshold
     assert threshold == 1.0, f"expected τ_hm exactly 1.0, got {threshold!r}"
     kept_dust = threshold + 1e-9 - 2**-32
@@ -133,24 +130,24 @@ def as_host_dict(hosts: list) -> dict:
     return {f"h{i:04d}": h for i, h in enumerate(hists)}
 
 
+def loop_clustering(hosts: list):
+    """θ_hm's clustering over the ``loop`` oracle's EMD matrix."""
+    histograms = as_host_dict(hosts)
+    names = sorted(histograms)
+    distance = pairwise_emd([histograms[h] for h in names], backend="loop")
+    return cluster_matrix(names, distance, PERCENTILE, CUT_FRACTION)
+
+
 def verify(entry: dict) -> None:
     """Check every pinned expectation before the corpus is written."""
     hosts = entry["hosts"]
-    hists = to_histograms(hosts)
-    ref = cluster_hosts(as_host_dict(hosts), PERCENTILE, backend="loop")
-    got = cluster_hosts(as_host_dict(hosts), PERCENTILE, backend="pruned")
+    ref = loop_clustering(hosts)
+    got = cluster_hosts(as_host_dict(hosts), PERCENTILE, CUT_FRACTION)
     assert got.clusters == ref.clusters, entry["name"]
     assert got.kept == ref.kept, entry["name"]
     assert got.threshold == ref.threshold, entry["name"]
-    np.testing.assert_allclose(
-        got.diameters, ref.diameters, atol=1e-12, rtol=0.0
-    )
-    _m, _d, report = pruned_partition(hists, CUT_FRACTION)
+    assert got.diameters == ref.diameters, entry["name"]
     expect = entry["expect"]
-    assert report.certified == expect["certified"], (
-        entry["name"], report.fallback_reason
-    )
-    assert report.fallback_reason == expect["fallback_reason"], entry["name"]
     kept_hosts = {h for cluster in ref.kept for h in cluster}
     for name in expect.get("kept_hosts_include", []):
         assert name in kept_hosts, (entry["name"], name)
@@ -162,35 +159,42 @@ def main() -> None:
     populations = []
 
     # k_cut = ceil(0.05 * 99) = 5, m = 4 families -> 2 within links cut.
-    # The 2nd and 3rd heaviest within links differ by 2^-30 (~9.3e-10):
-    # a tie at the cut boundary (within the engine's 1e-9-relative
-    # margin) that only the global merge order can break.
+    # The 2nd and 3rd heaviest within links differ by 2^-30 (~9.3e-10),
+    # a near-tie at the cut boundary.  The two split families (0 and 1)
+    # become zero-diameter halves and are kept; families 2 and 3 stay
+    # whole, wider than τ_hm, and are dropped.
+    cut_kept = [f"h{i:04d}" for i in range(0, 50)]
+    cut_dropped = [f"h{i:04d}" for i in range(50, 100)]
     tie_gap = realized(BASE_GAP, 8.0) - realized(2 * BASE_GAP, 8.0 - 2**-30)
     assert 0.0 < tie_gap <= 1e-9 * 8.0, tie_gap
     tie = build_cut_population([16.0, 8.0, 8.0 - 2**-30, 4.0])
     populations.append(
         {
             "name": "cut_tie",
-            "note": "within-link cut boundary tied to 2^-30; pruned "
-            "engine must fall back rather than guess the tie-break",
+            "note": "within-link cut boundary tied to 2^-30; the cut "
+            "must split the 8.0 family, not the 8 - 2^-30 one",
             "percentile": PERCENTILE,
             "cut_fraction": CUT_FRACTION,
-            "expect": {"certified": False, "fallback_reason": "cut-tie"},
+            "expect": {
+                "kept_hosts_include": cut_kept,
+                "kept_hosts_exclude": cut_dropped,
+            },
             "hosts": tie,
         }
     )
 
-    # Same shape, boundary gap of 4.0: certification and the pooled
-    # within-link cut must both go through and match the full run.
+    # Same shape, boundary gap of 4.0.
     clear = build_cut_population([16.0, 8.0, 2.0, 4.0])
     populations.append(
         {
             "name": "cut_clear",
-            "note": "same family structure with a wide cut boundary; "
-            "must certify and reproduce the full run's cut",
+            "note": "same family structure with a wide cut boundary",
             "percentile": PERCENTILE,
             "cut_fraction": CUT_FRACTION,
-            "expect": {"certified": True, "fallback_reason": ""},
+            "expect": {
+                "kept_hosts_include": cut_kept,
+                "kept_hosts_exclude": cut_dropped,
+            },
             "hosts": clear,
         }
     )
@@ -200,12 +204,10 @@ def main() -> None:
         {
             "name": "tau_dust",
             "note": "two cluster diameters straddle tau_hm + 1e-9 by "
-            "2^-48 and 2^-28; keep/drop must not flip",
+            "2^-32 on either side; keep/drop must not flip",
             "percentile": PERCENTILE,
             "cut_fraction": CUT_FRACTION,
             "expect": {
-                "certified": True,
-                "fallback_reason": "",
                 "kept_hosts_include": kept_family,
                 "kept_hosts_exclude": dropped_family,
             },

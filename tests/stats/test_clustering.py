@@ -6,12 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stats.clustering import (
     Dendrogram,
-    Merge,
-    agglomerate,
     average_linkage,
-    cluster_by_emd_cut,
     cluster_diameter,
-    complete_linkage,
     cut_top_links,
 )
 
@@ -23,22 +19,22 @@ def distance_matrix(points):
 
 class TestAgglomerate:
     def test_empty(self):
-        dend = agglomerate(np.zeros((0, 0)))
+        dend = average_linkage(np.zeros((0, 0)))
         assert dend.n_items == 0
         assert dend.merges == ()
 
     def test_single_item(self):
-        dend = agglomerate(np.zeros((1, 1)))
+        dend = average_linkage(np.zeros((1, 1)))
         assert dend.n_items == 1
         assert dend.merges == ()
 
     def test_two_items(self):
-        dend = agglomerate(distance_matrix([0.0, 3.0]))
+        dend = average_linkage(distance_matrix([0.0, 3.0]))
         assert len(dend.merges) == 1
         assert dend.merges[0].weight == pytest.approx(3.0)
 
     def test_closest_pair_merges_first(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0, 10.0]))
+        dend = average_linkage(distance_matrix([0.0, 1.0, 10.0]))
         first = dend.merges[0]
         assert {first.left, first.right} == {0, 1}
         assert first.weight == pytest.approx(1.0)
@@ -46,31 +42,18 @@ class TestAgglomerate:
     def test_average_linkage_weight(self):
         # Clusters {0,1} at positions 0,1 and point 2 at 10:
         # average distance = (10 + 9) / 2 = 9.5.
-        dend = agglomerate(distance_matrix([0.0, 1.0, 10.0]), "average")
+        dend = average_linkage(distance_matrix([0.0, 1.0, 10.0]))
         assert dend.merges[1].weight == pytest.approx(9.5)
-
-    def test_complete_linkage_weight(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0, 10.0]), "complete")
-        assert dend.merges[1].weight == pytest.approx(10.0)
 
     def test_rejects_asymmetric(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
-            agglomerate(bad)
+            average_linkage(bad)
 
     def test_rejects_nonzero_diagonal(self):
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            agglomerate(bad)
-
-    def test_rejects_unknown_linkage(self):
-        with pytest.raises(ValueError):
-            agglomerate(np.zeros((2, 2)), "ward")
-
-    def test_helpers_dispatch(self):
-        d = distance_matrix([0.0, 1.0, 10.0])
-        assert average_linkage(d).merges[1].weight == pytest.approx(9.5)
-        assert complete_linkage(d).merges[1].weight == pytest.approx(10.0)
+            average_linkage(bad)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -79,7 +62,7 @@ class TestAgglomerate:
         )
     )
     def test_merge_count_and_sizes(self, points):
-        dend = agglomerate(distance_matrix(points))
+        dend = average_linkage(distance_matrix(points))
         assert len(dend.merges) == len(points) - 1
         assert dend.merges[-1].size == len(points)
 
@@ -91,29 +74,29 @@ class TestAgglomerate:
     )
     def test_average_linkage_weights_monotone(self, points):
         # UPGMA on a metric is monotone: merge weights never decrease.
-        dend = agglomerate(distance_matrix(points), "average")
+        dend = average_linkage(distance_matrix(points))
         weights = [m.weight for m in dend.merges]
         assert all(b >= a - 1e-9 for a, b in zip(weights, weights[1:]))
 
 
 class TestCutTopLinks:
     def test_zero_fraction_keeps_everything_together(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0, 10.0]))
+        dend = average_linkage(distance_matrix([0.0, 1.0, 10.0]))
         clusters = cut_top_links(dend, 0.0)
         assert sorted(map(sorted, clusters)) == [[0, 1, 2]]
 
     def test_full_fraction_gives_singletons(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0, 10.0]))
+        dend = average_linkage(distance_matrix([0.0, 1.0, 10.0]))
         clusters = cut_top_links(dend, 1.0)
         assert sorted(map(sorted, clusters)) == [[0], [1], [2]]
 
     def test_cut_separates_farthest_group(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0, 50.0, 51.0]))
+        dend = average_linkage(distance_matrix([0.0, 1.0, 50.0, 51.0]))
         clusters = cut_top_links(dend, 0.3)  # ceil(0.3 * 3) = 1 link cut
         assert sorted(map(sorted, clusters)) == [[0, 1], [2, 3]]
 
     def test_invalid_fraction(self):
-        dend = agglomerate(distance_matrix([0.0, 1.0]))
+        dend = average_linkage(distance_matrix([0.0, 1.0]))
         with pytest.raises(ValueError):
             cut_top_links(dend, 1.5)
 
@@ -130,7 +113,7 @@ class TestCutTopLinks:
         fraction=st.floats(0.0, 1.0),
     )
     def test_clusters_partition_items(self, points, fraction):
-        dend = agglomerate(distance_matrix(points))
+        dend = average_linkage(distance_matrix(points))
         clusters = cut_top_links(dend, fraction)
         flat = sorted(i for cluster in clusters for i in cluster)
         assert flat == list(range(len(points)))
@@ -146,12 +129,6 @@ class TestClusterDiameter:
     def test_max_pairwise(self):
         d = distance_matrix([0.0, 2.0, 9.0])
         assert cluster_diameter(d, [0, 1, 2]) == 9.0
-
-
-def test_cluster_by_emd_cut_convenience():
-    d = distance_matrix([0.0, 1.0, 50.0, 51.0])
-    clusters = cluster_by_emd_cut(d, 0.3)
-    assert sorted(map(sorted, clusters)) == [[0, 1], [2, 3]]
 
 
 def test_dendrogram_validates_merge_count():
