@@ -11,7 +11,7 @@ production default).  Each scale additionally records an
 ``observability`` breakdown from one instrumented vectorized run —
 kernel block count, total/mean per-block time, and the wall-clock cost
 of having telemetry enabled — and a separate smoke test bounds the
-disabled-mode overhead of the instrumented kernel.
+enabled-mode overhead of the instrumented kernel.
 
 Run directly (full sweep)::
 
@@ -201,15 +201,14 @@ def _configured_out_path() -> Path:
     return Path(os.environ.get("REPRO_BENCH_HM_OUT", REPO_ROOT / "BENCH_hm.json"))
 
 
-def test_obs_disabled_overhead_smoke():
-    """Instrumented hot loops must cost ~nothing while obs is disabled.
+def test_obs_enabled_overhead_smoke():
+    """Instrumented hot loops must stay cheap while obs is enabled.
 
-    The kernel's only disabled-mode residue is one boolean check per
-    cache-sized block, so two interleaved best-of-N disabled runs must
-    agree to measurement noise (±5%, with a small absolute floor for
-    very fast machines), and an enabled run — which pays two
-    ``perf_counter`` calls plus two locked metric updates per block —
-    is bounded loosely to catch accidentally-heavy telemetry.
+    An enabled run pays two ``perf_counter`` calls plus two locked
+    metric updates per cache-sized block; it is bounded loosely against
+    a disabled run to catch accidentally-heavy telemetry.  That the
+    disabled kernel makes no timer or registry call at all is pinned
+    exactly, by call counts, in ``tests/obs/test_overhead.py``.
     """
     hists = synthesize_histograms(300)
     pairwise_emd(hists, backend="vectorized")  # warm caches and numpy
@@ -222,13 +221,7 @@ def test_obs_disabled_overhead_smoke():
             best = min(best, time.perf_counter() - t0)
         return best
 
-    a = best_of(7)
-    b = best_of(7)
-    tolerance = max(0.05 * max(a, b), 1e-3)
-    assert abs(a - b) <= tolerance, (
-        f"disabled-mode timing unstable: {a:.6f}s vs {b:.6f}s"
-    )
-
+    disabled = best_of(7)
     obs.get_registry().reset()
     obs.enable()
     try:
@@ -236,8 +229,8 @@ def test_obs_disabled_overhead_smoke():
     finally:
         obs.disable()
         obs.get_registry().reset()
-    assert enabled <= max(a, b) * 1.5 + 2e-3, (
-        f"enabled-mode overhead too high: {enabled:.6f}s vs {max(a, b):.6f}s"
+    assert enabled <= disabled * 1.5 + 2e-3, (
+        f"enabled-mode overhead too high: {enabled:.6f}s vs {disabled:.6f}s"
     )
 
 

@@ -12,7 +12,6 @@ from .portsplit import (
     find_plotters_port_split,
 )
 from .incremental import OnlineDetector, OnlineVerdict
-from .tracking import DayVerdict, SuspectTracker
 from .explain import (
     HostExplanation,
     StageEvidence,
@@ -46,8 +45,6 @@ __all__ = [
     "find_plotters_port_split",
     "OnlineDetector",
     "OnlineVerdict",
-    "DayVerdict",
-    "SuspectTracker",
     "HostExplanation",
     "StageEvidence",
     "explain_host",

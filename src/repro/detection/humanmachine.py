@@ -37,6 +37,7 @@ __all__ = [
     "cluster_hosts",
     "cluster_matrix",
     "host_histograms",
+    "kept_at",
     "theta_hm",
 ]
 
@@ -49,6 +50,11 @@ MIN_SAMPLES = 20
 #: Floor for interstitial samples before the log transform (seconds);
 #: gaps below a millisecond are indistinguishable at flow granularity.
 _LOG_FLOOR = 1e-3
+
+#: Smallest cluster θ_hm keeps: the test's evidence is *similarity
+#: between hosts* (bots of one botnet share binary timers), and a
+#: singleton exhibits none.
+MIN_CLUSTER_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,30 @@ def host_histograms(
     return histograms
 
 
+def kept_at(
+    clusters: Sequence[Tuple[str, ...]],
+    diameters: Sequence[float],
+    threshold: float,
+) -> Tuple[Tuple[str, ...], ...]:
+    """The clusters θ_hm keeps at diameter threshold ``threshold``.
+
+    A cluster is kept when its diameter is at most ``threshold`` and it
+    has at least :data:`MIN_CLUSTER_SIZE` hosts.  The tolerance absorbs
+    float dust when many diameters tie (e.g. several exactly-zero bot
+    clusters and an interpolated percentile).
+    """
+    return tuple(
+        cluster
+        for cluster, diameter in zip(clusters, diameters)
+        if diameter <= threshold + 1e-9 and len(cluster) >= MIN_CLUSTER_SIZE
+    )
+
+
 def cluster_matrix(
     hosts: Sequence[str],
     distance: np.ndarray,
     percentile: float,
     cut_fraction: float = DEFAULT_CUT_FRACTION,
-    min_cluster_size: int = 2,
 ) -> HmClustering:
     """Cluster ``hosts`` by a pairwise ``distance`` matrix and keep tight
     clusters.
@@ -112,9 +136,7 @@ def cluster_matrix(
     Average linkage with the top-``cut_fraction`` link cut forms the
     clusters; ``percentile`` sets τ_hm as a percentile of the cluster
     diameters — the paper's dynamic threshold over "the diameters across
-    all clusters".  Clusters smaller than ``min_cluster_size`` are never
-    kept: the test's evidence is *similarity between hosts* (bots of one
-    botnet share binary timers), and a singleton exhibits none.
+    all clusters" — and :func:`kept_at` applies it.
 
     ``distance[i, j]`` is the distance between ``hosts[i]`` and
     ``hosts[j]``; θ_hm passes its EMD matrix, the ablations their own
@@ -132,19 +154,12 @@ def cluster_matrix(
         tuple(hosts[i] for i in members) for members in member_lists
     )
     threshold = percentile_threshold(list(diameters), percentile)
-    # The tolerance absorbs float dust when many diameters tie (e.g.
-    # several exactly-zero bot clusters and an interpolated percentile).
-    kept = tuple(
-        cluster
-        for cluster, diameter in zip(clusters, diameters)
-        if diameter <= threshold + 1e-9 and len(cluster) >= min_cluster_size
-    )
     return HmClustering(
         hosts=hosts,
         clusters=clusters,
         diameters=diameters,
         threshold=threshold,
-        kept=kept,
+        kept=kept_at(clusters, diameters, threshold),
     )
 
 
@@ -152,7 +167,6 @@ def cluster_hosts(
     histograms: Dict[str, Histogram],
     percentile: float,
     cut_fraction: float = DEFAULT_CUT_FRACTION,
-    min_cluster_size: int = 2,
 ) -> HmClustering:
     """:func:`cluster_matrix` over the pairwise EMD of the hosts'
     histograms (hosts in sorted order)."""
@@ -161,9 +175,7 @@ def cluster_hosts(
     with span("cluster_hosts", hosts=n, pairs=n * (n - 1) // 2) as s:
         with span("emd_matrix", hosts=n):
             distance = pairwise_emd([histograms[h] for h in hosts])
-        clustering = cluster_matrix(
-            hosts, distance, percentile, cut_fraction, min_cluster_size
-        )
+        clustering = cluster_matrix(hosts, distance, percentile, cut_fraction)
         s.set(
             clusters=len(clustering.clusters),
             kept=len(clustering.kept),
@@ -179,7 +191,6 @@ def theta_hm(
     cut_fraction: float = DEFAULT_CUT_FRACTION,
     min_samples: int = MIN_SAMPLES,
     log_scale: bool = True,
-    min_cluster_size: int = 2,
 ) -> TestResult:
     """Select hosts in timing clusters whose diameter is ≤ τ_hm.
 
@@ -188,9 +199,7 @@ def theta_hm(
     ``detail`` carries the :class:`HmClustering`.
     """
     histograms = host_histograms(features, sorted(hosts), min_samples, log_scale)
-    clustering = cluster_hosts(
-        histograms, percentile, cut_fraction, min_cluster_size
-    )
+    clustering = cluster_hosts(histograms, percentile, cut_fraction)
     selected = {host for cluster in clustering.kept for host in cluster}
     metric: Dict[str, float] = {}
     for cluster, diameter in zip(clustering.clusters, clustering.diameters):

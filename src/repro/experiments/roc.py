@@ -14,7 +14,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from ..detection.churn import churn_metric
-from ..detection.humanmachine import cluster_hosts, host_histograms
+from ..detection.humanmachine import cluster_hosts, host_histograms, kept_at
 from ..detection.reduction import initial_data_reduction
 from ..detection.volume import volume_metric
 from ..stats.roc import PERCENTILE_SWEEP, RocCurve, roc_from_selections
@@ -131,8 +131,7 @@ def run_fig8_roc_hm(ctx: ExperimentContext) -> RocResult:
             threshold = percentile_threshold(diameters, pct) if diameters else 0.0
             selected = {
                 h
-                for cluster, diameter in zip(clustering.clusters, diameters)
-                if diameter <= threshold + 1e-9 and len(cluster) >= 2
+                for cluster in kept_at(clustering.clusters, diameters, threshold)
                 for h in cluster
             }
             for botnet in ("storm", "nugache"):

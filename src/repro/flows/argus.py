@@ -22,13 +22,14 @@ some of them torn, truncated, or mis-encoded.  :func:`read_flows` and
 
 :func:`row_to_flow` is the one definition of a valid row: arity,
 ``float``/``int``/``bytes.fromhex`` field parses, protocol and state
-membership, ``end >= start``, counts in ``[0, 2**63 - 1]`` (the storage
-columns are int64) and ports in ``[0, 65535]``.  A tokenizer error —
-``csv.Error``, e.g. a field past ``csv.field_size_limit`` because a
-torn row's unterminated quote swallowed the lines after it — is one
-more malformed row: strict raises ``ValueError`` with ``source:lineno``,
-skip and quarantine count and sample it (quarantine dead-letters empty
-fields plus the error) and reading resumes at the next line.
+membership, finite times with ``end >= start``, counts in
+``[0, 2**63 - 1]`` (the storage columns are int64) and ports in
+``[0, 65535]``.  A tokenizer error — ``csv.Error``, e.g. a field past
+``csv.field_size_limit`` because a torn row's unterminated quote
+swallowed the lines after it — is one more malformed row: strict
+raises ``ValueError`` with ``source:lineno``, skip and quarantine
+count and sample it (quarantine dead-letters empty fields plus the
+error) and reading resumes at the next line.
 
 :func:`read_flows_report` returns the :class:`IngestReport` alongside
 the store; the ``repro_ingest_rows_{ok,skipped,quarantined}_total``
@@ -72,6 +73,7 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from math import isfinite
 from operator import is_, lt
 from pathlib import Path
 from typing import (
@@ -397,6 +399,13 @@ def _convert_block(rows: List[List[str]]) -> Optional[_Block]:
     counts = (block.src_pkts, block.dst_pkts, block.src_bytes, block.dst_bytes)
     if (
         any(map(lt, block.end, block.start))
+        # NaN fails no comparison, so finiteness is screened on the
+        # times' sum, confirmed value by value only when the sum is not
+        # finite (huge finite times can overflow it).
+        or not (
+            isfinite(sum(block.start) + sum(block.end))
+            or all(map(isfinite, chain(block.start, block.end)))
+        )
         or min(map(min, counts)) < 0
         or max(map(max, counts)) > _INT64_MAX
         or min(min(block.sport), min(block.dport)) < 0

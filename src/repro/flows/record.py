@@ -19,6 +19,7 @@ Each record carries the fields the paper relies on:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -85,7 +86,7 @@ class FlowRecord:
         Transport protocol (TCP or UDP).
     start, end:
         Flow start and end times, in seconds since the epoch of the
-        containing trace.  ``end >= start``.
+        containing trace.  Both finite, ``end >= start``.
     src_bytes, dst_bytes:
         Application bytes sent by the initiator / by the responder.
     src_pkts, dst_pkts:
@@ -112,6 +113,12 @@ class FlowRecord:
     payload: bytes = field(default=b"", repr=False)
 
     def __post_init__(self) -> None:
+        # ``end < start`` is false for NaN, so finiteness is its own check.
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(
+                f"flow times must be finite: start {self.start!r}, "
+                f"end {self.end!r}"
+            )
         if self.end < self.start:
             raise ValueError(
                 f"flow end {self.end!r} precedes start {self.start!r}"

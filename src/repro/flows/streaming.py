@@ -47,10 +47,6 @@ _INGEST_RATE = obs_metrics.gauge(
     "repro_flow_ingest_rate_per_s",
     "Wall-clock ingest throughput of the busiest extractor (flows/s)",
 )
-_FLOWS_SKIPPED = obs_metrics.counter(
-    "repro_ingest_rows_skipped_total",
-    "Malformed rows/records dropped by skip-mode ingestion",
-)
 _RATE_REFRESH = 1024
 
 
@@ -116,30 +112,10 @@ class StreamingFeatureExtractor:
             self._add_sample(state, abs(flow.start - last))
         state.last_start[flow.dst] = flow.start
 
-    def update_many(self, flows, errors: str = "strict") -> int:
-        """Account an iterable of flows; returns the number ingested.
-
-        ``errors="skip"`` drops elements whose ingestion raises
-        ``ValueError``/``TypeError``/``AttributeError`` (counting them
-        in ``repro_ingest_rows_skipped_total``) instead of aborting a
-        live feed over one malformed record; ``"strict"`` (the default)
-        propagates the first error unchanged.
-        """
-        if errors not in ("strict", "skip"):
-            raise ValueError(
-                f"errors must be 'strict' or 'skip', got {errors!r}"
-            )
-        ingested = 0
+    def update_many(self, flows) -> None:
+        """Account an iterable of flows."""
         for flow in flows:
-            try:
-                self.update(flow)
-            except (ValueError, TypeError, AttributeError):
-                if errors == "strict":
-                    raise
-                _FLOWS_SKIPPED.inc()
-                continue
-            ingested += 1
-        return ingested
+            self.update(flow)
 
     def _note_ingest(self) -> None:
         """Count one ingested flow; periodically refresh the rate gauge."""

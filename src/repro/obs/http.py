@@ -39,9 +39,10 @@ raise ``BrokenPipeError``/``ConnectionResetError`` inside the handler
 thread; those are a fact of network life, not a server fault, so they
 are logged at DEBUG and never as a traceback.
 
-Both CLIs expose this as ``--prom-port``; ``OnlineDetector`` accepts a
-``prom_port=`` argument so a tumbling-window run can be scraped while
-it fills.  Use as a context manager or call :meth:`close`::
+Both CLIs expose this as ``--prom-port`` (through
+:class:`~repro.obs.session.ObsSession`), so a long run can be scraped
+while it is in flight.  Use as a context manager or call
+:meth:`close`::
 
     with MetricsServer(port=0) as server:
         print(server.url)          # http://127.0.0.1:49512
@@ -214,8 +215,8 @@ class MetricsServer:
     extra_summary:
         Optional zero-argument callable whose dict return value is
         merged into the ``/summary`` document under ``"state"`` — how
-        the online detector publishes its window index and history
-        depth without the server knowing detector internals.
+        the serve coordinator publishes its shard and window state
+        without the server knowing its internals.
     routes:
         Optional ``{(method, path): handler}`` map of additional
         endpoints (see :data:`RouteHandler`); routes win over the

@@ -12,9 +12,9 @@ pipeline threads through:
   retry/give-up counters.
 * **Stage supervision** (:mod:`repro.resilience.guard`) —
   :class:`StageGuard` runs each stage down a declared fallback ladder
-  for environmental faults (``store_dir`` spool → in-memory extraction;
-  verdict log and window spool → off) and records every step as a
-  :class:`Degradation` on the log, metrics, and span channels at once.
+  for environmental faults (``store_dir`` spool → in-memory
+  extraction) and records every step as a :class:`Degradation` on the
+  log, metrics, and span channels at once.
 * **Crash-safe writes** (:mod:`repro.resilience.io`) —
   write-temp / fsync / atomic-rename helpers behind every durable
   artifact.

@@ -23,9 +23,9 @@ Environment knobs (all unset by default — zero injected faults):
     declared fallback retrying the stage succeeds — failures are
     one-shot per N.
 ``REPRO_FAULT_IO_ERRORS``
-    Comma-separated I/O tags (``dead-letter``, ``verdict-log``,
-    ``verdict-db``, ``query-index``, ``segment``, ``store-manifest``,
-    ``store-read``) whose I/O raises ``OSError``.
+    Comma-separated I/O tags (``dead-letter``, ``verdict-db``,
+    ``query-index``, ``segment``, ``store-manifest``, ``store-read``)
+    whose I/O raises ``OSError``.
 ``REPRO_FAULT_IO_DELAY``
     Seconds of added latency at every tagged I/O point.
 ``REPRO_FAULT_SERVE_WORKER_EXIT_ONCE``

@@ -1,17 +1,17 @@
 """Stage supervision with declared, loudly-reported degradation.
 
 A long detection run should survive an *environmental* fault — a spool
-directory that cannot be written, a torn segment, a verdict log on a
-full disk — by stepping down to a mode that does not need the failed
-resource, never by silently producing different results and never by
-dying.  A failing computation is a bug to surface, not to degrade
-around, so no ladder steps between implementations of one computation.
-:class:`StageGuard` encodes that policy: each guarded stage declares an
-ordered ladder of modes, the guard runs them first-to-last, and every
-step down is recorded as a :class:`Degradation` and emitted three ways
-at once (a WARNING log line, the ``repro_stage_degradations_total``
-counter, and a structured ``degradation`` span event for JSONL sinks)
-so a fallback can never pass unnoticed.
+directory that cannot be written, a torn segment — by stepping down to
+a mode that does not need the failed resource, never by silently
+producing different results and never by dying.  A failing
+computation is a bug to surface, not to degrade around, so no ladder
+steps between implementations of one computation.  :class:`StageGuard`
+encodes that policy: each guarded stage declares an ordered ladder of
+modes, the guard runs them first-to-last, and every step down is
+recorded as a :class:`Degradation` and emitted three ways at once (a
+WARNING log line, the ``repro_stage_degradations_total`` counter, and
+a structured ``degradation`` span event for JSONL sinks) so a fallback
+can never pass unnoticed.
 
 With ``enabled=False`` (the ``--no-degrade`` CLI flag) the guard is a
 transparent pass-through: the first failure propagates, which is what
@@ -61,8 +61,8 @@ class StageGuard:
     """Run pipeline stages down a declared fallback ladder.
 
     One guard instance accompanies one run (a ``find_plotters`` call,
-    an :class:`~repro.detection.incremental.OnlineDetector` lifetime);
-    its :attr:`degradations` list *is* the run's resilience summary.
+    a serve coordinator's lifetime); its :attr:`degradations` list
+    *is* the run's resilience summary.
     """
 
     def __init__(self, *, enabled: bool = True, name: str = "pipeline") -> None:

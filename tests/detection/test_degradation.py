@@ -1,12 +1,11 @@
 """Graceful degradation: environmental faults change wall time, never suspects.
 
 Every test injects a fault through :mod:`repro.resilience.faults`,
-runs the pipeline (batch or online), and asserts the run either
-(a) completes with exactly the clean run's suspects and reports the
-degradation — for faults of an environmental resource (the
-``store_dir`` spool, the verdict log) — or (b) raises, for a failing
-computation that has no resource to fall back from.  No silent
-fallback, no changed verdicts.
+runs the batch pipeline, and asserts the run either (a) completes with
+exactly the clean run's suspects and reports the degradation — for
+faults of an environmental resource (the ``store_dir`` spool) — or
+(b) raises, for a failing computation that has no resource to fall
+back from.  No silent fallback, no changed verdicts.
 """
 
 from unittest.mock import patch
@@ -14,11 +13,8 @@ from unittest.mock import patch
 import pytest
 
 from repro import obs
-from repro.detection.incremental import OnlineDetector
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.resilience.faults import InjectedFault, injected
-
-from .test_torn_checkpoint import CONFIG, HOSTS, WINDOW, flow, window_flows
 
 
 @pytest.fixture(scope="module")
@@ -133,35 +129,3 @@ class TestBatchPipeline:
         assert attrs["stage"] == "extract_features"
         assert attrs["to_mode"] == "in-memory"
 
-
-class TestOnlineDetector:
-    def run_windows(self, detector, n=2):
-        for w in range(n):
-            detector.ingest_many(window_flows(w))
-        detector.ingest(flow("bot0", start=n * WINDOW + 1.0))
-
-    def test_verdict_log_failure_degrades_not_dies(self, tmp_path):
-        detector = OnlineDetector(
-            HOSTS, window=WINDOW, config=CONFIG, checkpoint_dir=tmp_path
-        )
-        with injected(io_errors=["verdict-log"]):
-            self.run_windows(detector)
-        # The run completed: both windows concluded in memory…
-        assert len(detector.history) == 2
-        # …the log was dropped loudly…
-        assert any(d.stage == "verdict_log" for d in detector.degradations)
-        assert detector._verdict_log is None
-        # …and nothing half-written hit the disk.
-        log = tmp_path / "verdicts.jsonl"
-        assert not log.exists() or log.read_text() == ""
-
-    def test_verdict_log_failure_fatal_without_degrade(self, tmp_path):
-        config = PipelineConfig(
-            reduction_percentile=10.0, vol_percentile=90.0, degrade=False
-        )
-        detector = OnlineDetector(
-            HOSTS, window=WINDOW, config=config, checkpoint_dir=tmp_path
-        )
-        with injected(io_errors=["verdict-log"]):
-            with pytest.raises(OSError):
-                self.run_windows(detector)

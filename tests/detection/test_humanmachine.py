@@ -8,6 +8,7 @@ from repro.detection.humanmachine import (
     cluster_hosts,
     cluster_matrix,
     host_histograms,
+    kept_at,
     theta_hm,
 )
 from repro.flows import FlowRecord, FlowStore, Protocol
@@ -72,11 +73,6 @@ class TestClusterHosts:
         clustering = cluster_hosts({"only": hist}, 70.0)
         assert clustering.kept == ()
 
-    def test_single_host_kept_when_singletons_allowed(self):
-        hist = build_histogram([1.0, 2.0, 3.0])
-        clustering = cluster_hosts({"only": hist}, 70.0, min_cluster_size=1)
-        assert clustering.kept == (("only",),)
-
     def test_empty_input_has_zero_threshold(self):
         clustering = cluster_hosts({}, 70.0)
         assert clustering.hosts == ()
@@ -85,12 +81,9 @@ class TestClusterHosts:
 
     def test_single_host_diameter_is_zero(self):
         hist = build_histogram([1.0, 2.0, 3.0])
-        for size in (1, 2):
-            clustering = cluster_hosts(
-                {"only": hist}, 70.0, min_cluster_size=size
-            )
-            assert clustering.clusters == (("only",),)
-            assert clustering.diameters == (0.0,)
+        clustering = cluster_hosts({"only": hist}, 70.0)
+        assert clustering.clusters == (("only",),)
+        assert clustering.diameters == (0.0,)
 
     def test_all_identical_histograms_all_kept(self):
         """Tie-heavy diameters: every cluster sits exactly at τ_hm.
@@ -114,13 +107,6 @@ class TestClusterHosts:
         }
         assert kept_hosts == multi_hosts
         assert kept_hosts  # the tolerance actually kept something
-
-    def test_all_identical_histograms_with_singletons_allowed(self):
-        hist = build_histogram([4.0, 5.0, 6.0])
-        histograms = {f"h{i}": hist for i in range(5)}
-        clustering = cluster_hosts(histograms, 70.0, min_cluster_size=1)
-        kept_hosts = {h for cluster in clustering.kept for h in cluster}
-        assert kept_hosts == set(histograms)
 
     def test_backends_agree_on_clustering(self):
         flows = []
@@ -179,6 +165,15 @@ class TestClusterMatrix:
         assert clustering.clusters == (("only",),)
         assert clustering.diameters == (0.0,)
         assert clustering.kept == ()
+
+    def test_kept_at_is_the_one_keep_rule(self):
+        """Diameter within τ_hm (plus float-dust tolerance) and at
+        least two hosts; Figure 8's sweep calls the same rule."""
+        clusters = (("a", "b"), ("c", "d"), ("e", "f"), ("g",))
+        diameters = (1.0 + 5e-10, 1.0 + 2e-9, 0.5, 0.0)
+        assert kept_at(clusters, diameters, 1.0) == (("a", "b"), ("e", "f"))
+        assert kept_at(clusters, diameters, 0.4) == ()
+
 
 class TestThetaHm:
     def test_bots_survive_humans_filtered(self):

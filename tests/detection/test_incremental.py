@@ -173,81 +173,3 @@ class TestOnlineEqualsBatch:
         )
         assert batch.suspects
 
-
-class TestVerdictCheckpointing:
-    """Finalised-window verdicts persist and restore across restarts."""
-
-    def _windows(self, n=3, window=1000.0):
-        flows = []
-        for w in range(n):
-            base = w * window
-            flows.extend(
-                flow(f.src, dst=f.dst, start=base + f.start * 0.999,
-                     src_bytes=f.src_bytes,
-                     failed=f.state is not FlowState.ESTABLISHED)
-                for f in _mixed_population_flows(window)
-            )
-        # One flow past the last boundary finalises window n-1.
-        flows.append(flow("bot0", start=n * window + 1.0))
-        return flows
-
-    def test_resume_restores_history(self, tmp_path):
-        first = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path,
-        )
-        first.ingest_many(self._windows())
-        assert len(first.history) == 3
-        assert (tmp_path / "verdicts.jsonl").exists()
-
-        restarted = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert restarted.history == first.history
-        assert restarted._window_index == 3
-
-    def test_resume_continues_numbering(self, tmp_path):
-        first = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path,
-        )
-        first.ingest_many(self._windows(2))
-        restarted = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        restarted.ingest_many(
-            flow("bot0", dst="peer", start=t) for t in (0.0, 500.0, 1500.0)
-        )
-        assert restarted.history[-1].window_index == 2
-
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        detector = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path,
-        )
-        detector.ingest_many(self._windows(2))
-        log = tmp_path / "verdicts.jsonl"
-        intact = log.read_text().splitlines()
-        log.write_text("\n".join(intact[:-1]) + '\n{"window_index": 1, "ev')
-        restarted = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert restarted.history == detector.history[:-1]
-
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(ValueError):
-            OnlineDetector(_MIXED_HOSTS, resume=True)
-
-    def test_rescore_window_matches_batch(self):
-        flows = _mixed_population_flows()
-        detector = OnlineDetector(
-            _MIXED_HOSTS, window=1000.0, config=_MIXED_CONFIG
-        )
-        store = FlowStore(flows)
-        batch = find_plotters(store, _MIXED_HOSTS, _MIXED_CONFIG)
-        rescored = detector.rescore_window(store)
-        assert rescored.suspects == batch.suspects
-        assert rescored.hm.metric == batch.hm.metric

@@ -103,14 +103,3 @@ class TestFinalizeWindow:
         detector.ingest(_flow("10.0.0.1", 11.0))
         second = detector.finalize_window()
         assert (first.window_index, second.window_index) == (0, 1)
-
-    def test_finalize_cuts_spool_segment(self, tmp_path):
-        detector = OnlineDetector(
-            HOSTS, window=10.0, window_origin=0.0, spool_dir=tmp_path / "spool"
-        )
-        detector.ingest(_flow("10.0.0.1", 3.0))
-        detector.ingest(_flow("10.0.0.2", 4.0))
-        assert detector.finalize_window() is not None
-        assert detector.spooled_windows == (0,)
-        rescored = detector.rescore_window_from_spool(0)
-        assert rescored.input_hosts <= frozenset(HOSTS)

@@ -21,6 +21,7 @@ from repro.flows.argus import (
     dumps,
     flow_to_row,
     loads,
+    loads_columns,
     loads_report,
     read_flows,
     read_flows_report,
@@ -375,3 +376,43 @@ class TestCountsBeyondInt64:
         assert (report.rows_ok, report.rows_skipped) == (6, 1)
         assert view.store.total_rows == 6
         assert int(view.store.gather().src_bytes.max()) == 100
+
+
+class TestNonFiniteTimes:
+    """``float`` parses ``nan``/``inf``/``-inf`` and ``end < start`` is
+    false for NaN: a row with a non-finite time is one malformed row."""
+
+    def text(self, column, value):
+        row = flow_to_row(good_flow(7))
+        row[ARGUS_COLUMNS.index(column)] = value
+        rows = [flow_to_row(flow) for flow in GOOD]
+        rows.insert(3, row)  # line 5, after the header and three rows
+        lines = [",".join(r) for r in [list(ARGUS_COLUMNS)] + rows]
+        return "\r\n".join(lines) + "\r\n"
+
+    @pytest.mark.parametrize("column", ["start", "end"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("errors", PARSE_ERROR_MODES)
+    def test_one_malformed_row_under_every_policy(self, errors, value, column):
+        text = self.text(column, value)
+        message = "<string>:5: flow times must be finite"
+        if errors == "strict":
+            for read in (loads_report, loads_columns):
+                with pytest.raises(ValueError, match=message):
+                    read(text, errors="strict")
+            return
+        store, report = loads_report(text, errors=errors)
+        assert (report.rows_ok, report.rows_bad) == (6, 1)
+        assert report.error_samples[0].startswith(message)
+        assert sorted(f.src for f in store) == sorted(f.src for f in GOOD)
+        columns, report = loads_columns(text, errors=errors)
+        assert (len(columns.start), report.rows_bad) == (6, 1)
+
+    def test_spool_keeps_only_finite_times(self, tmp_path):
+        trace = tmp_path / "nan.csv"
+        trace.write_text(self.text("start", "nan"))
+        view, report = read_flows_report(
+            trace, errors="skip", to_store=tmp_path / "spool", segment_rows=2
+        )
+        assert (report.rows_ok, report.rows_skipped) == (6, 1)
+        assert view.store.total_rows == 6

@@ -31,6 +31,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_flow(start=10.0, end=9.0)
 
+    @pytest.mark.parametrize("field", ["start", "end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, field, value):
+        # ``end < start`` is false for NaN, so this needs its own check.
+        with pytest.raises(ValueError, match="finite"):
+            make_flow(**{field: value})
+
     def test_zero_duration_allowed(self):
         assert make_flow(start=5.0, end=5.0).duration == 0.0
 

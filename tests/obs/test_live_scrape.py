@@ -2,9 +2,9 @@
 
 The detector is the long-running deployment shape — eight days of
 windows — so its telemetry must be scrapeable *mid-run*, not just
-exportable at exit: ``OnlineDetector(prom_port=...)`` serves the
-registry over HTTP, and every window evaluation refreshes the
-``repro_stage_*`` funnel gauges the scrape reports.
+exportable at exit: an ``ObsSession(prom_port=...)`` around the
+detector serves the registry over HTTP, and every window evaluation
+refreshes the ``repro_stage_*`` funnel gauges the scrape reports.
 """
 
 import json
@@ -12,7 +12,7 @@ import urllib.request
 
 from repro.detection.incremental import OnlineDetector
 from repro.flows import FlowRecord, FlowState, Protocol
-from repro.obs import parse_prom
+from repro.obs import ObsSession, parse_prom
 from repro.obs.export import FUNNEL_STAGES
 from repro.obs.http import PROM_CONTENT_TYPE
 
@@ -33,8 +33,9 @@ def scrape(url):
 class TestLiveScrapeDuringTumble:
     def test_metrics_endpoint_serves_funnel_series_mid_run(self, clean_obs):
         hosts = {f"h{i}" for i in range(6)}
-        with OnlineDetector(hosts, window=100.0, prom_port=0) as detector:
-            url = detector.metrics_server.url
+        detector = OnlineDetector(hosts, window=100.0)
+        with ObsSession(prom_port=0) as session:
+            url = session.server.url
             # Hosts with distinct failure rates (host i fails i of 6
             # connections) so the percentile reduction keeps a strict
             # subset and every downstream stage runs.
@@ -59,19 +60,16 @@ class TestLiveScrapeDuringTumble:
                 assert key in inputs, f"missing funnel series for {stage}"
                 assert key in surviving
             assert inputs[(("stage", "reduction"),)] == 6.0
-            # /summary carries the same funnel plus detector state.
+            # /summary carries the same funnel.
             _, _, body = scrape(url + "/summary")
             doc = json.loads(body)
             assert {s["stage"] for s in doc["funnel"]} == set(FUNNEL_STAGES)
-            assert doc["state"]["window_index"] == 1
-            assert doc["state"]["finalised_windows"] == 1
-            assert doc["state"]["tracked_hosts"] == 6
-        # Context exit stops the server and recording.
-        assert detector.metrics_server is None
+        assert len(detector.history) == 1
 
     def test_funnel_gauges_refresh_on_each_evaluation(self, clean_obs):
-        with OnlineDetector({"a", "b"}, window=50.0, prom_port=0) as detector:
-            url = detector.metrics_server.url
+        detector = OnlineDetector({"a", "b"}, window=50.0)
+        with ObsSession(prom_port=0) as session:
+            url = session.server.url
             detector.ingest(flow("a", start=0.0))
             detector.evaluate()
             first = parse_prom(scrape(url + "/metrics")[2].decode())
@@ -81,14 +79,3 @@ class TestLiveScrapeDuringTumble:
         key = (("stage", "reduction"),)
         assert first["repro_stage_input_hosts"][key] == 1.0
         assert second["repro_stage_input_hosts"][key] == 2.0
-
-    def test_close_is_idempotent(self, clean_obs):
-        detector = OnlineDetector({"a"}, window=50.0, prom_port=0)
-        assert detector.metrics_server.port > 0
-        detector.close()
-        detector.close()
-
-    def test_no_server_without_prom_port(self, clean_obs):
-        detector = OnlineDetector({"a"}, window=50.0)
-        assert detector.metrics_server is None
-        detector.close()

@@ -5,14 +5,25 @@ scale; this tier-1 suite pins the structural half of that contract so a
 regression cannot hide behind timing noise: while recording is
 disabled, every instrument method returns before touching its child
 map (no series allocation, no dict churn, no lock acquisition visible
-as state), and ``span()`` yields one shared inert object instead of
-allocating a live span or growing the context stack.
+as state), ``span()`` yields one shared inert object instead of
+allocating a live span or growing the context stack, and the
+instrumented EMD kernel reads no timer and updates no metric.
 """
+
+import importlib
+from types import SimpleNamespace
+
+import numpy as np
 
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.export import InMemorySink
+from repro.stats.histogram import build_histogram
+
+# ``repro.stats`` re-exports the ``emd`` function under the submodule's
+# name, so the module itself is reached through the import system.
+emd_mod = importlib.import_module("repro.stats.emd")
 
 
 class TestDisabledInstrumentsAllocateNothing:
@@ -78,3 +89,49 @@ class TestDisabledSpansShareOneNoop:
         assert sink.spans == []
         state = obs_metrics.get_registry().state().get("repro_span_seconds")
         assert state is None or state["series"] == {}
+
+
+class _Count:
+    """A hook stand-in that counts its calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs) -> float:
+        self.calls += 1
+        return 0.0
+
+
+class TestKernelBlockHooks:
+    """``pairwise_emd``'s per-block telemetry, counted through patched
+    hooks: no timer read and no registry update while disabled, one
+    timed, counted observation per kernel block while enabled."""
+
+    def pairwise(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        hists = [build_histogram(rng.lognormal(0.0, 1.5, 400)) for _ in range(120)]
+        timer, inc, observe = _Count(), _Count(), _Count()
+        monkeypatch.setattr(emd_mod, "time", SimpleNamespace(perf_counter=timer))
+        monkeypatch.setattr(emd_mod, "_BLOCKS_TOTAL", SimpleNamespace(inc=inc))
+        monkeypatch.setattr(
+            emd_mod, "_BLOCK_SECONDS", SimpleNamespace(observe=observe)
+        )
+        emd_mod.pairwise_emd(hists)
+        n_pairs = len(hists) * (len(hists) - 1) // 2
+        step = emd_mod._block_rows(max(len(h.centers) for h in hists))
+        blocks = -(-n_pairs // step)
+        assert blocks >= 2  # the per-block counts below mean something
+        return blocks, timer.calls, inc.calls, observe.calls
+
+    def test_disabled_kernel_makes_no_timer_or_registry_call(
+        self, clean_obs, monkeypatch
+    ):
+        _, timer, inc, observe = self.pairwise(monkeypatch)
+        assert (timer, inc, observe) == (0, 0, 0)
+
+    def test_enabled_kernel_times_and_counts_each_block_once(
+        self, clean_obs, monkeypatch
+    ):
+        obs_metrics.enable()
+        blocks, timer, inc, observe = self.pairwise(monkeypatch)
+        assert (timer, inc, observe) == (2 * blocks, blocks, blocks)

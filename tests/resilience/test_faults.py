@@ -109,7 +109,7 @@ class TestStageFaults:
 class TestIoFaults:
     def test_matching_tag_raises_oserror(self):
         with injected(io_errors=["store-read", "segment"]):
-            io_point("verdict-log")  # untagged: fine
+            io_point("dead-letter")  # untagged: fine
             with pytest.raises(OSError, match="store-read"):
                 io_point("store-read")
             with pytest.raises(OSError, match="segment"):

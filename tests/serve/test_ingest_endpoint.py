@@ -155,6 +155,34 @@ class TestIngestPolicy:
         assert excinfo.value.code == 400
         assert coordinator.rows_ingested == 0
 
+    @staticmethod
+    def _non_finite_bodies(host: str):
+        # ``float`` parses these and ``end < start`` is false for NaN;
+        # each is one malformed row after four good ones.
+        good = _csv_rows(_host_flows(host, 0.0, 4))
+        for value in ("nan", "inf", "-inf"):
+            row = flow_to_row(_host_flows(host, 50.0, 1)[0])
+            row[ARGUS_COLUMNS.index("start")] = value
+            yield (HEADER + good + ",".join(row) + "\r\n").encode()
+
+    def test_non_finite_time_is_one_malformed_row(self, make_coordinator):
+        coordinator = make_coordinator(n_shards=1, window=1e9)
+        for body in self._non_finite_bodies("10.7.0.5"):
+            status, reply = _post(coordinator.url + "/ingest", body)
+            assert status == 200
+            assert (reply["rows_ok"], reply["rows_bad"]) == (4, 1)
+        assert coordinator.rows_ingested == 12
+
+    def test_non_finite_time_is_400_under_strict(self, make_coordinator):
+        coordinator = make_coordinator(
+            n_shards=1, window=1e9, on_parse_error="strict"
+        )
+        for body in self._non_finite_bodies("10.7.0.6"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(coordinator.url + "/ingest", body)
+            assert excinfo.value.code == 400
+        assert coordinator.rows_ingested == 0
+
     def test_count_beyond_int64_does_not_poison_the_shard(
         self, make_coordinator
     ):

@@ -2,10 +2,9 @@
 
 The storage subsystem's contract is that it changes *where* rows live,
 never *what* the detector computes: columnar snapshots, per-host
-features, sharded extraction, the full pipeline funnel and the online
-detector's spool rescoring must all be exactly equal to their
-in-memory counterparts — the pipeline's percentile thresholds amplify
-any drift into different suspect sets.
+features, sharded extraction and the full pipeline funnel must all be
+exactly equal to their in-memory counterparts — the pipeline's
+percentile thresholds amplify any drift into different suspect sets.
 """
 
 import random
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detection.incremental import OnlineDetector
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.flows import FlowRecord, FlowState, FlowStore, Protocol
 from repro.flows.metrics import extract_all_features, extract_features_sharded
@@ -247,88 +245,6 @@ class TestPipelineEquivalence:
             "store",
             "in-memory",
         )
-
-
-class TestOnlineSpoolRescore:
-    WINDOW = 200.0
-
-    def make_flows(self, n_windows=3, seed=11):
-        rng = random.Random(seed)
-        hosts = [f"10.0.0.{i}" for i in range(8)]
-        flows = []
-        for w in range(n_windows):
-            base = w * self.WINDOW
-            for _ in range(150):
-                flows.append(
-                    flow(
-                        src=rng.choice(hosts),
-                        dst=f"d{rng.randrange(10)}",
-                        start=base + rng.random() * (self.WINDOW - 1.0),
-                        src_bytes=rng.randrange(0, 3000),
-                        failed=rng.random() < 0.25,
-                    )
-                )
-        flows.sort(key=lambda f: f.start)
-        # One flow past the last window forces its finalisation.
-        flows.append(flow(src=hosts[0], start=n_windows * self.WINDOW + 1.0))
-        return hosts, flows
-
-    def test_rescore_from_spool_matches_batch(self, tmp_path):
-        hosts, flows = self.make_flows()
-        config = PipelineConfig(
-            reduction_percentile=10.0, vol_percentile=90.0
-        )
-        detector = OnlineDetector(
-            set(hosts),
-            window=self.WINDOW,
-            config=config,
-            spool_dir=tmp_path / "spool",
-        )
-        detector.ingest_many(flows)
-        assert detector.spooled_windows == (0, 1, 2)
-
-        for index in detector.spooled_windows:
-            t0, t1 = detector._window_bounds[index]
-            mem = FlowStore()
-            mem.extend(f for f in flows if t0 <= f.start < t1)
-            expected = find_plotters(
-                mem, set(hosts) & mem.initiators, config
-            )
-            actual = detector.rescore_window_from_spool(index)
-            assert actual.suspects == expected.suspects
-            assert actual.reduction == expected.reduction
-            assert actual.hm == expected.hm
-
-    def test_spool_write_failure_degrades_not_dies(self, tmp_path):
-        hosts, flows = self.make_flows(n_windows=1)
-        config = PipelineConfig()
-        detector = OnlineDetector(
-            set(hosts),
-            window=self.WINDOW,
-            config=config,
-            spool_dir="/proc/no-such-dir/spool",
-        )
-        detector.ingest_many(flows)
-        assert detector._spool_disabled
-        assert any(
-            event.stage == "window_spool"
-            for event in detector.guard.degradations
-        )
-        with pytest.raises(RuntimeError, match="no active spool"):
-            detector.rescore_window_from_spool()
-
-    def test_unknown_window_index_rejected(self, tmp_path):
-        hosts, flows = self.make_flows(n_windows=1)
-        config = PipelineConfig()
-        detector = OnlineDetector(
-            set(hosts),
-            window=self.WINDOW,
-            config=config,
-            spool_dir=tmp_path / "spool",
-        )
-        detector.ingest_many(flows)
-        with pytest.raises(ValueError, match="not in the spool"):
-            detector.rescore_window_from_spool(99)
 
 
 class TestIngestSpill:
