@@ -145,7 +145,11 @@ class OnlineDetector:
         return self.window_origin + k * self.window
 
     def ingest(self, flow: FlowRecord) -> None:
-        """Feed one flow; rolls the window when the flow starts past it."""
+        """Feed one flow; rolls the window when the flow starts past it.
+
+        ``flow`` needs only the attributes the streaming extractor
+        reads (see :meth:`StreamingFeatureExtractor.update`).
+        """
         if self._window_start is None:
             self._window_start = self._aligned_start(flow.start)
         elif flow.start >= self._window_start + self.window:

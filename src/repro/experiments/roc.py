@@ -9,15 +9,13 @@ set* — S (post-reduction) for θ_vol and θ_churn, S_vol ∪ S_churn for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from ..detection.churn import churn_metric
 from ..detection.humanmachine import cluster_hosts, host_histograms, kept_at
 from ..detection.reduction import initial_data_reduction
 from ..detection.volume import volume_metric
-from ..stats.roc import PERCENTILE_SWEEP, RocCurve, roc_from_selections
+from ..stats.roc import PERCENTILE_SWEEP
 from ..stats.thresholds import percentile_threshold, select_below
 from .config import ExperimentContext
 from .tables import render_table

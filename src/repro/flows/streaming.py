@@ -93,7 +93,12 @@ class StreamingFeatureExtractor:
     # Ingest
     # ------------------------------------------------------------------
     def update(self, flow: FlowRecord) -> None:
-        """Account one flow to its initiator."""
+        """Account one flow to its initiator.
+
+        Reads only ``src``, ``dst``, ``start``, ``src_bytes`` and
+        ``failed``, so any object carrying those will do — the serve
+        worker passes its light :class:`~repro.serve.worker.FlowRow`.
+        """
         if obs_metrics.is_enabled():
             self._note_ingest()
         state = self._hosts.setdefault(flow.src, StreamingHostState())

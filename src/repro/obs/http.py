@@ -39,6 +39,10 @@ raise ``BrokenPipeError``/``ConnectionResetError`` inside the handler
 thread; those are a fact of network life, not a server fault, so they
 are logged at DEBUG and never as a traceback.
 
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, so a
+client that reuses one connection (a collector posting chunks, a
+poller) gets each reply without waiting on its own delayed ACK.
+
 Both CLIs expose this as ``--prom-port`` (through
 :class:`~repro.obs.session.ObsSession`), so a long run can be scraped
 while it is in flight.  Use as a context manager or call
@@ -84,6 +88,11 @@ class _Handler(BaseHTTPRequestHandler):
     server_ref: "MetricsServer"
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  A response goes out
+    # as two writes (headers, then body); with Nagle on, the body waits
+    # for the peer to ACK the headers, and on a keep-alive connection
+    # the peer delays that ACK by ~40 ms — a floor under every reply.
+    disable_nagle_algorithm = True
 
     def _send(
         self,

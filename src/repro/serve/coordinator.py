@@ -20,11 +20,13 @@ double-report a window.
 **Drain = batch.**  Per-shard online verdicts cannot equal a global
 batch run (the pipeline's percentile thresholds are population-wide),
 so the drained verdict is computed by re-scoring the *union* of every
-epoch's shard spools with the exact batch pipeline
-(:func:`~repro.detection.pipeline.find_plotters`) under the service's
-own :class:`~repro.detection.pipeline.PipelineConfig`.  The storage
-projection is lossless for features (pinned since PR 5), so this is
-bit-identical to a batch run over the same flows.
+epoch's shard spools — read as one :class:`~repro.storage.StoreView`
+over a :class:`~repro.storage.StoreChain`, never as records — with the
+exact batch pipeline (:func:`~repro.detection.pipeline.find_plotters`)
+under the service's own
+:class:`~repro.detection.pipeline.PipelineConfig`.  The storage
+projection is lossless for features, so this is bit-identical to a
+batch run over the same flows.
 
 **Rebalance is an epoch barrier.**  Changing the shard count finalises
 every in-flight window (synchronised early tumble on the shared grid),
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import queue as queue_mod
 import threading
 import time
@@ -69,13 +72,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..detection.pipeline import PipelineResult, find_plotters
 from ..flows.argus import FlowColumns, loads_columns
-from ..flows.store import FlowStore
 from ..obs import metrics as obs_metrics
 from ..obs.http import MetricsServer
 from ..obs.ledger import suspects_checksum
 from ..obs.logconf import get_logger
 from ..resilience import StageGuard, atomic_write_text, faults
-from ..storage import SegmentStore
+from ..storage import SegmentStore, StoreChain, StoreView
 from ..storage.format import StorageError
 from .config import ServeConfig
 from .journal import COORD_LOG_NAME, CoordinatorLog, LogState
@@ -611,8 +613,17 @@ class ServeCoordinator:
     # Supervision
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
+        """Collect worker messages as they arrive; respawn the dead.
+
+        Sleeps on every outbox's read end, so an ack or verdict is
+        handled the moment it lands; the 50 ms timeout paces only the
+        liveness check.  A dead worker cannot make the loop spin: its
+        outbox is drained on every pass and never reaches EOF, since
+        this process holds the queue's write end too.
+        """
         while not self._stop_supervisor.is_set():
-            for worker in list(self._workers.values()):
+            workers = list(self._workers.values())
+            for worker in workers:
                 self._drain_outbox(worker)
                 if (
                     not worker.retired
@@ -621,7 +632,11 @@ class ServeCoordinator:
                 ):
                     with self._lock:
                         self._restart_worker(worker)
-            self._stop_supervisor.wait(0.05)
+            # mp.Queue exposes no public handle to wait on; _reader is
+            # the pipe end its get() reads.
+            mp_connection.wait(
+                [worker.outbox._reader for worker in workers], timeout=0.05
+            )
 
     def _drain_outbox(self, worker: _Worker) -> None:
         while True:
@@ -952,25 +967,14 @@ class ServeCoordinator:
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
-    def _combined_store(self) -> FlowStore:
-        """Every epoch's shard spools, unioned into one in-memory store."""
-        combined = FlowStore()
-        for spool_dir in self._spool_dirs:
-            try:
-                store = SegmentStore.open(spool_dir)
-            except (StorageError, OSError):
-                continue
-            if store.total_rows == 0:
-                continue
-            combined.extend(store.view().records())
-        return combined
-
     def drain(self) -> Tuple[PipelineResult, Dict[str, object]]:
         """SIGTERM path: finalise everything, batch-rescore the spools.
 
         Closes ingest, tumbles and stops every worker, cuts every
         spool, then runs :func:`find_plotters` over the union of all
-        spooled rows under the service's pipeline config — producing
+        spooled rows — one :class:`~repro.storage.StoreView` over a
+        :class:`~repro.storage.StoreChain` of the spools, scored as
+        columns — under the service's pipeline config, producing
         the exact batch verdict for the service's whole lifetime of
         traffic.  Writes ``drain.json`` (suspects + order-independent
         checksum + funnel + service counters) and returns the pipeline
@@ -988,13 +992,22 @@ class ServeCoordinator:
         for worker in self._workers.values():
             self._drain_outbox(worker)
 
-        combined = self._combined_store()
+        # Every epoch's shard spools, in spool order, as one view: one
+        # gather ties equal starts as FlowStore.extend over the spools
+        # in turn would, so the rescore is the batch run's bit for bit.
+        stores = []
+        for spool_dir in self._spool_dirs:
+            try:
+                stores.append(SegmentStore.open(spool_dir))
+            except (StorageError, OSError):
+                continue
+        spooled = StoreView(StoreChain(stores))
         hosts = (
             None
             if self.config.internal_hosts is None
             else set(self.config.internal_hosts)
         )
-        result = find_plotters(combined, hosts, self.config.pipeline)
+        result = find_plotters(spooled, hosts, self.config.pipeline)
         suspects = sorted(result.suspects)
         if self._verdict_db is not None:
             # The drain rescore is the service's authoritative batch
@@ -1015,7 +1028,7 @@ class ServeCoordinator:
             "suspects": suspects,
             "suspects_sha256": suspects_checksum(suspects),
             "funnel": result.funnel(),
-            "rows_rescored": len(combined),
+            "rows_rescored": len(spooled),
             "rows_ingested": self.rows_ingested,
             "windows_finalized": doc["windows_finalized"],
             "duplicate_verdicts": doc["duplicate_verdicts"],
@@ -1037,7 +1050,7 @@ class ServeCoordinator:
             self._log.append({"kind": "drained"})
         logger.info(
             "drained: %d rows rescored, %d suspect(s), checksum %s",
-            len(combined),
+            len(spooled),
             len(suspects),
             report["suspects_sha256"][:12],
         )

@@ -27,10 +27,13 @@ simply replays the spool from the last finalised window boundary
 (``replay_t0``) on the same window grid (``window_origin``) and ends up
 scoring the identical window the dead worker was filling.  Flows
 travel as rows of the storage plane's five columns — the coordinator
-zips them from the columns it decodes; :func:`row_of` is the same
-projection of one record — and :func:`record_of` rebuilds the record,
-so live ingest and spool replay feed the detector byte-for-byte the
-same records.
+zips them from the columns it decodes and has already validated;
+:func:`row_of` is the same projection of one record.  The worker feeds
+its detector each row as a :class:`FlowRow` — the five attributes the
+streaming extractor reads, nothing rebuilt or re-validated — and
+:func:`replay_rows` turns the spool's gathered columns into the same
+rows, so live ingest and spool replay feed the detector identical
+values.
 """
 
 from __future__ import annotations
@@ -39,22 +42,34 @@ import json
 import multiprocessing
 import os
 from queue import Empty
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..detection.incremental import OnlineDetector
-from ..flows.record import FlowRecord, FlowState, Protocol
+from ..flows.record import FlowRecord
 from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..storage import SegmentStore
 from ..storage.format import StorageError
 from .config import ServeConfig
 
-__all__ = ["row_of", "record_of", "replay_records", "worker_main"]
+__all__ = ["FlowRow", "row_of", "replay_rows", "worker_main"]
 
 #: The projected row a flow travels as: (src, dst, start, src_bytes,
 #: success) — exactly the columns the storage plane keeps and the
 #: features consume.
 Row = Tuple[str, str, float, int, bool]
+
+
+class FlowRow(NamedTuple):
+    """One flow as the detector reads it: the attributes
+    :meth:`~repro.flows.streaming.StreamingFeatureExtractor.update`
+    uses, and no others."""
+
+    src: str
+    dst: str
+    start: float
+    src_bytes: int
+    failed: bool
 
 
 def row_of(flow: FlowRecord) -> Row:
@@ -68,49 +83,37 @@ def row_of(flow: FlowRecord) -> Row:
     )
 
 
-def record_of(row: Row) -> FlowRecord:
-    """Rebuild the synthetic record a projected row stands for.
-
-    Identical construction to
-    :meth:`repro.storage.view.StoreView._records`, so a record ingested
-    live equals the record a spool replay would rebuild for the same
-    row — the detector cannot tell the two paths apart.
-    """
-    src, dst, start, src_bytes, success = row
-    return FlowRecord(
-        src=src,
-        dst=dst,
-        sport=0,
-        dport=0,
-        proto=Protocol.TCP,
-        start=start,
-        end=start,
-        src_bytes=src_bytes,
-        state=FlowState.ESTABLISHED if success else FlowState.TIMEOUT,
-    )
-
-
-def replay_records(
-    spool_dir: str, replay_t0: Optional[float]
-) -> List[FlowRecord]:
+def replay_rows(spool_dir: str, replay_t0: Optional[float]) -> List[FlowRow]:
     """The shard spool's rows from ``replay_t0`` on, time-ordered.
 
     The gather returns rows grouped by host; tumbling-window ingest
     needs global time order (a late host group would straddle an
-    already-tumbled boundary), so the records are stable-sorted by
-    start — per-host order is already start-sorted and survives.
-    Returns ``[]`` when the spool is missing, unreadable or empty: a
-    fresh worker with nothing to replay.
+    already-tumbled boundary), so the rows are stable-sorted by start
+    — per-host order is already start-sorted and survives.  Returns
+    ``[]`` when the spool is missing, unreadable or empty: a fresh
+    worker with nothing to replay.
     """
     try:
         store = SegmentStore.open(spool_dir)
     except (StorageError, OSError):
         return []
-    if store.total_rows == 0:
-        return []
-    records = store.view(t0=replay_t0).records()
-    records.sort(key=lambda record: record.start)
-    return records
+    gathered = store.gather(t0=replay_t0)
+    dsts = gathered.dsts
+    srcs: List[str] = []
+    for host, count in zip(gathered.hosts, gathered.counts.tolist()):
+        srcs.extend([host] * count)
+    rows = [
+        FlowRow(src, dsts[dcode], start, size, not ok)
+        for src, dcode, start, size, ok in zip(
+            srcs,
+            gathered.dst_codes.tolist(),
+            gathered.starts.tolist(),
+            gathered.src_bytes.tolist(),
+            gathered.success.tolist(),
+        )
+    ]
+    rows.sort(key=lambda row: row.start)
+    return rows
 
 
 def worker_main(
@@ -137,14 +140,14 @@ def worker_main(
         window_origin=config.window_origin,
     )
 
-    def ingest(record: FlowRecord) -> None:
+    def ingest(row: FlowRow) -> None:
         if score_all:
-            detector.internal_hosts.add(record.src)
-        detector.ingest(record)
+            detector.internal_hosts.add(row.src)
+        detector.ingest(row)
 
-    replayed = replay_records(spool_dir, replay_t0)
-    for record in replayed:
-        ingest(record)
+    replayed = replay_rows(spool_dir, replay_t0)
+    for row in replayed:
+        ingest(row)
 
     shipped = 0
 
@@ -181,8 +184,8 @@ def worker_main(
         command, seq = message[0], message[1]
         if command == "flows":
             rows = message[2]
-            for row in rows:
-                ingest(record_of(row))
+            for src, dst, start, src_bytes, success in rows:
+                ingest(FlowRow(src, dst, start, src_bytes, not success))
             # The injected OOM-kill strikes here — after a batch is in
             # window state but before anything ships — so recovery
             # tests exercise the full replay path, not a lucky

@@ -16,7 +16,8 @@ Layers, bottom up:
 * :mod:`~repro.storage.writer` — :class:`SegmentWriter`, buffering
   rows and cutting segments on row/byte thresholds;
 * :mod:`~repro.storage.store` — :class:`SegmentStore`, the
-  manifest-backed catalog with zone-map pruned gathers and compaction;
+  manifest-backed catalog with zone-map pruned gathers and compaction,
+  and :class:`StoreChain`, a read-only catalog over several stores;
 * :mod:`~repro.storage.view` — :class:`StoreView`, the
   FlowStore-shaped facade the pipeline and the feature extractor consume;
 * :mod:`~repro.storage.spool` — :func:`spool_flow_store`, spilling an
@@ -42,7 +43,7 @@ from .format import (
     write_segment,
 )
 from .spool import fresh_store, spool_flow_store
-from .store import MANIFEST_NAME, Gathered, SegmentStore
+from .store import MANIFEST_NAME, Gathered, SegmentStore, StoreChain
 from .view import StoreView
 from .writer import DEFAULT_SEGMENT_BYTES, DEFAULT_SEGMENT_ROWS, SegmentWriter
 
@@ -58,6 +59,7 @@ __all__ = [
     "Gathered",
     "SegmentStore",
     "SegmentWriter",
+    "StoreChain",
     "StoreView",
     "StorageError",
     "StorageVersionError",

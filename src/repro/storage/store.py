@@ -16,6 +16,8 @@ columns, and assembles host-grouped, start-ordered arrays with the
 same ordering contract as :meth:`repro.flows.store.FlowStore.columnar`
 — stable sort by start time, arrival order breaking ties — so every
 downstream kernel is bit-identical to the in-memory plane.
+:class:`StoreChain` gathers over several stores' segments in turn, as
+if they were one store's.
 
 Compaction merges runs of small segments (ingest tails, per-window
 spools) into fewer larger ones, preserving row order; it rewrites data
@@ -67,6 +69,7 @@ __all__ = [
     "MANIFEST_NAME",
     "Gathered",
     "SegmentStore",
+    "StoreChain",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -168,7 +171,268 @@ def _empty_gather(pruned_host: int = 0, pruned_time: int = 0) -> Gathered:
     )
 
 
-class SegmentStore:
+class _SegmentReads:
+    """Zone-map counts and pruned gathers over an ordered segment run.
+
+    Defined once over :meth:`segments` — the catalogued segments in
+    arrival order — and shared by one :class:`SegmentStore` and a
+    :class:`StoreChain` of several: a chain's gather is one store's
+    gather over the concatenated catalogs.
+    """
+
+    def segments(self) -> List[Segment]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def host_counts(
+        self, t0: Optional[float] = None, t1: Optional[float] = None
+    ) -> Dict[str, int]:
+        """Rows per initiator.
+
+        Without a time restriction this is a pure footer aggregation.
+        With one, segments fully inside the range still aggregate from
+        footers; only boundary-straddling segments read their ``starts``
+        column (sliced per host, so the scan is bounded).
+        """
+        counts: Dict[str, int] = {}
+        for segment in self.segments():
+            if t0 is not None and segment.t_max < t0:
+                continue
+            if t1 is not None and segment.t_min >= t1:
+                continue
+            inside = (t0 is None or segment.t_min >= t0) and (
+                t1 is None or segment.t_max < t1
+            )
+            if inside:
+                for host, rows in zip(segment.hosts, segment.host_rows):
+                    counts[host] = counts.get(host, 0) + int(rows)
+            else:
+                starts = segment.starts
+                mask = np.ones(segment.rows, dtype=bool)
+                if t0 is not None:
+                    mask &= starts >= t0
+                if t1 is not None:
+                    mask &= starts < t1
+                per_host = np.bincount(
+                    segment.src_codes[mask], minlength=len(segment.hosts)
+                )
+                for host, rows in zip(segment.hosts, per_host):
+                    if rows:
+                        counts[host] = counts.get(host, 0) + int(rows)
+        return counts
+
+    def gather(
+        self,
+        hosts: Optional[Iterable[str]] = None,
+        t0: Optional[float] = None,
+        t1: Optional[float] = None,
+        *,
+        prune: bool = True,
+        max_rows: Optional[int] = None,
+    ) -> Gathered:
+        """Materialise host-grouped, start-ordered columns for ``hosts``.
+
+        ``prune=False`` disables zone-map pruning (every segment is
+        scanned and row-filtered) — results are identical; the flag
+        exists so the benchmark can measure what pruning buys.
+        ``max_rows`` is a hard materialisation budget: a gather that
+        would exceed it raises :class:`StorageBudgetError` *before*
+        concatenating.
+        """
+        faults.io_point("store-read")
+        _GATHERS.inc()
+        segments = self.segments()
+        wanted: Optional[frozenset] = None
+        if hosts is not None:
+            wanted = frozenset(hosts)
+            if not wanted:
+                return _empty_gather()
+
+        # Budget pre-check from zone maps alone: exact when there is no
+        # time restriction, skipped (in favour of the exact running
+        # check below) when there is.
+        if max_rows is not None and t0 is None and t1 is None:
+            estimate = 0
+            for segment in segments:
+                if wanted is None:
+                    estimate += segment.rows
+                else:
+                    index = segment.host_index
+                    estimate += sum(
+                        int(segment.host_rows[index[h]])
+                        for h in wanted
+                        if h in index
+                    )
+            if estimate > max_rows:
+                raise StorageBudgetError(
+                    f"gather would materialise {estimate} rows, over the "
+                    f"budget of {max_rows}"
+                )
+
+        pruned_host = 0
+        pruned_time = 0
+        rows_total = 0
+        chunk_host: List[np.ndarray] = []
+        chunk_starts: List[np.ndarray] = []
+        chunk_bytes: List[np.ndarray] = []
+        chunk_success: List[np.ndarray] = []
+        chunk_dst: List[np.ndarray] = []
+        global_hosts: Dict[str, int] = {}
+        global_dsts: Dict[str, int] = {}
+
+        for segment in segments:
+            if prune:
+                if (t0 is not None and segment.t_max < t0) or (
+                    t1 is not None and segment.t_min >= t1
+                ):
+                    pruned_time += 1
+                    _SCANS.inc(result="pruned-time")
+                    continue
+                if wanted is not None:
+                    index = segment.host_index
+                    present = [h for h in wanted if h in index]
+                    if not present:
+                        pruned_host += 1
+                        _SCANS.inc(result="pruned-host")
+                        continue
+                    if t0 is not None or t1 is not None:
+                        # Per-host time zone maps: a segment overlapping
+                        # the window may still hold none of *these*
+                        # hosts' rows inside it.
+                        live = [
+                            h
+                            for h in present
+                            if not (
+                                (
+                                    t0 is not None
+                                    and segment.host_t_max[index[h]] < t0
+                                )
+                                or (
+                                    t1 is not None
+                                    and segment.host_t_min[index[h]] >= t1
+                                )
+                            )
+                        ]
+                        if not live:
+                            pruned_host += 1
+                            _SCANS.inc(result="pruned-host")
+                            continue
+            _SCANS.inc(result="read")
+
+            src_codes = segment.src_codes
+            if wanted is None:
+                remap = np.empty(len(segment.hosts), dtype=np.int64)
+                for local, host in enumerate(segment.hosts):
+                    remap[local] = global_hosts.setdefault(
+                        host, len(global_hosts)
+                    )
+                mask = None
+            else:
+                remap = np.full(len(segment.hosts), -1, dtype=np.int64)
+                index = segment.host_index
+                for host in wanted:
+                    local = index.get(host)
+                    if local is not None:
+                        remap[local] = global_hosts.setdefault(
+                            host, len(global_hosts)
+                        )
+                mask = remap[src_codes] >= 0
+            if t0 is not None or t1 is not None:
+                starts_col = segment.starts
+                tmask = np.ones(segment.rows, dtype=bool)
+                if t0 is not None:
+                    tmask &= starts_col >= t0
+                if t1 is not None:
+                    tmask &= starts_col < t1
+                mask = tmask if mask is None else (mask & tmask)
+            if mask is not None and not mask.any():
+                continue
+
+            dst_remap = np.empty(len(segment.dsts), dtype=np.int64)
+            for local, dst in enumerate(segment.dsts):
+                dst_remap[local] = global_dsts.setdefault(
+                    dst, len(global_dsts)
+                )
+
+            if mask is None:
+                seg_host = remap[src_codes]
+                seg_starts = np.asarray(segment.starts, dtype=np.float64)
+                seg_bytes = np.asarray(segment.src_bytes, dtype=np.int64)
+                seg_success = segment.success.astype(np.int64)
+                seg_dst = dst_remap[segment.dst_codes]
+            else:
+                seg_host = remap[src_codes[mask]]
+                seg_starts = np.asarray(
+                    segment.starts[mask], dtype=np.float64
+                )
+                seg_bytes = np.asarray(
+                    segment.src_bytes[mask], dtype=np.int64
+                )
+                seg_success = segment.success[mask].astype(np.int64)
+                seg_dst = dst_remap[segment.dst_codes[mask]]
+            rows_total += len(seg_starts)
+            if max_rows is not None and rows_total > max_rows:
+                raise StorageBudgetError(
+                    f"gather exceeded the materialisation budget of "
+                    f"{max_rows} rows at segment {segment.path.name}"
+                )
+            chunk_host.append(seg_host)
+            chunk_starts.append(seg_starts)
+            chunk_bytes.append(seg_bytes)
+            chunk_success.append(seg_success)
+            chunk_dst.append(seg_dst)
+
+        if not chunk_starts:
+            return _empty_gather(pruned_host, pruned_time)
+        _ROWS_READ.inc(rows_total)
+
+        host_idx = np.concatenate(chunk_host)
+        starts_arr = np.concatenate(chunk_starts)
+        bytes_arr = np.concatenate(chunk_bytes)
+        success_arr = np.concatenate(chunk_success)
+        dst_arr = np.concatenate(chunk_dst)
+
+        # Present hosts in sorted order, renumbered densely.  The codes
+        # in ``host_idx`` are first-appearance order; translate them to
+        # sorted order before grouping.
+        ordered_hosts = sorted(global_hosts)
+        translate = np.empty(len(global_hosts), dtype=np.int64)
+        for rank, host in enumerate(ordered_hosts):
+            translate[global_hosts[host]] = rank
+        host_idx = translate[host_idx]
+
+        # The in-memory plane's ordering contract, reproduced: a single
+        # stable sort by start time over arrival order (FlowStore's
+        # global sort), then a stable group-by host — within each host,
+        # rows ascend by start with arrival order breaking ties.
+        order = np.argsort(starts_arr, kind="stable")
+        order = order[np.argsort(host_idx[order], kind="stable")]
+
+        host_idx = host_idx[order]
+        counts = np.bincount(host_idx, minlength=len(ordered_hosts)).astype(
+            np.int64
+        )
+        present = counts > 0
+        kept_hosts = tuple(
+            h for h, keep in zip(ordered_hosts, present) if keep
+        )
+        counts = counts[present]
+
+        return Gathered(
+            hosts=kept_hosts,
+            counts=counts,
+            starts=starts_arr[order],
+            src_bytes=bytes_arr[order],
+            success=success_arr[order],
+            dst_codes=dst_arr[order],
+            n_destinations=len(global_dsts),
+            dsts=tuple(global_dsts),
+            segments_read=len(chunk_starts),
+            segments_pruned_host=pruned_host,
+            segments_pruned_time=pruned_time,
+        )
+
+
+class SegmentStore(_SegmentReads):
     """One directory of segments plus the manifest ordering them."""
 
     def __init__(self, directory: Union[str, Path], manifest: Dict[str, object]):
@@ -479,44 +743,6 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # Catalog-level queries (zone maps only — no column reads)
     # ------------------------------------------------------------------
-    def host_counts(
-        self, t0: Optional[float] = None, t1: Optional[float] = None
-    ) -> Dict[str, int]:
-        """Rows per initiator.
-
-        Without a time restriction this is a pure footer aggregation.
-        With one, segments fully inside the range still aggregate from
-        footers; only boundary-straddling segments read their ``starts``
-        column (sliced per host, so the scan is bounded).
-        """
-        counts: Dict[str, int] = {}
-        for meta in self.metas:
-            segment = self._segment(meta.name)
-            if t0 is not None and segment.t_max < t0:
-                continue
-            if t1 is not None and segment.t_min >= t1:
-                continue
-            inside = (t0 is None or segment.t_min >= t0) and (
-                t1 is None or segment.t_max < t1
-            )
-            if inside:
-                for host, rows in zip(segment.hosts, segment.host_rows):
-                    counts[host] = counts.get(host, 0) + int(rows)
-            else:
-                starts = segment.starts
-                mask = np.ones(segment.rows, dtype=bool)
-                if t0 is not None:
-                    mask &= starts >= t0
-                if t1 is not None:
-                    mask &= starts < t1
-                per_host = np.bincount(
-                    segment.src_codes[mask], minlength=len(segment.hosts)
-                )
-                for host, rows in zip(segment.hosts, per_host):
-                    if rows:
-                        counts[host] = counts.get(host, 0) + int(rows)
-        return counts
-
     def hosts(self) -> List[str]:
         """Sorted union of every segment's initiator table."""
         seen: Dict[str, None] = {}
@@ -524,221 +750,6 @@ class SegmentStore:
             for host in self._segment(meta.name).hosts:
                 seen[host] = None
         return sorted(seen)
-
-    # ------------------------------------------------------------------
-    # Gather
-    # ------------------------------------------------------------------
-    def gather(
-        self,
-        hosts: Optional[Iterable[str]] = None,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
-        *,
-        prune: bool = True,
-        max_rows: Optional[int] = None,
-    ) -> Gathered:
-        """Materialise host-grouped, start-ordered columns for ``hosts``.
-
-        ``prune=False`` disables zone-map pruning (every segment is
-        scanned and row-filtered) — results are identical; the flag
-        exists so the benchmark can measure what pruning buys.
-        ``max_rows`` is a hard materialisation budget: a gather that
-        would exceed it raises :class:`StorageBudgetError` *before*
-        concatenating.
-        """
-        faults.io_point("store-read")
-        _GATHERS.inc()
-        wanted: Optional[frozenset] = None
-        if hosts is not None:
-            wanted = frozenset(hosts)
-            if not wanted:
-                return _empty_gather()
-
-        # Budget pre-check from zone maps alone: exact when there is no
-        # time restriction, skipped (in favour of the exact running
-        # check below) when there is.
-        if max_rows is not None and t0 is None and t1 is None:
-            estimate = 0
-            for meta in self.metas:
-                segment = self._segment(meta.name)
-                if wanted is None:
-                    estimate += segment.rows
-                else:
-                    index = segment.host_index
-                    estimate += sum(
-                        int(segment.host_rows[index[h]])
-                        for h in wanted
-                        if h in index
-                    )
-            if estimate > max_rows:
-                raise StorageBudgetError(
-                    f"gather would materialise {estimate} rows, over the "
-                    f"budget of {max_rows}"
-                )
-
-        pruned_host = 0
-        pruned_time = 0
-        rows_total = 0
-        chunk_host: List[np.ndarray] = []
-        chunk_starts: List[np.ndarray] = []
-        chunk_bytes: List[np.ndarray] = []
-        chunk_success: List[np.ndarray] = []
-        chunk_dst: List[np.ndarray] = []
-        global_hosts: Dict[str, int] = {}
-        global_dsts: Dict[str, int] = {}
-
-        for meta in self.metas:
-            segment = self._segment(meta.name)
-            if prune:
-                if (t0 is not None and segment.t_max < t0) or (
-                    t1 is not None and segment.t_min >= t1
-                ):
-                    pruned_time += 1
-                    _SCANS.inc(result="pruned-time")
-                    continue
-                if wanted is not None:
-                    index = segment.host_index
-                    present = [h for h in wanted if h in index]
-                    if not present:
-                        pruned_host += 1
-                        _SCANS.inc(result="pruned-host")
-                        continue
-                    if t0 is not None or t1 is not None:
-                        # Per-host time zone maps: a segment overlapping
-                        # the window may still hold none of *these*
-                        # hosts' rows inside it.
-                        live = [
-                            h
-                            for h in present
-                            if not (
-                                (
-                                    t0 is not None
-                                    and segment.host_t_max[index[h]] < t0
-                                )
-                                or (
-                                    t1 is not None
-                                    and segment.host_t_min[index[h]] >= t1
-                                )
-                            )
-                        ]
-                        if not live:
-                            pruned_host += 1
-                            _SCANS.inc(result="pruned-host")
-                            continue
-            _SCANS.inc(result="read")
-
-            src_codes = segment.src_codes
-            if wanted is None:
-                remap = np.empty(len(segment.hosts), dtype=np.int64)
-                for local, host in enumerate(segment.hosts):
-                    remap[local] = global_hosts.setdefault(
-                        host, len(global_hosts)
-                    )
-                mask = None
-            else:
-                remap = np.full(len(segment.hosts), -1, dtype=np.int64)
-                index = segment.host_index
-                for host in wanted:
-                    local = index.get(host)
-                    if local is not None:
-                        remap[local] = global_hosts.setdefault(
-                            host, len(global_hosts)
-                        )
-                mask = remap[src_codes] >= 0
-            if t0 is not None or t1 is not None:
-                starts_col = segment.starts
-                tmask = np.ones(segment.rows, dtype=bool)
-                if t0 is not None:
-                    tmask &= starts_col >= t0
-                if t1 is not None:
-                    tmask &= starts_col < t1
-                mask = tmask if mask is None else (mask & tmask)
-            if mask is not None and not mask.any():
-                continue
-
-            dst_remap = np.empty(len(segment.dsts), dtype=np.int64)
-            for local, dst in enumerate(segment.dsts):
-                dst_remap[local] = global_dsts.setdefault(
-                    dst, len(global_dsts)
-                )
-
-            if mask is None:
-                seg_host = remap[src_codes]
-                seg_starts = np.asarray(segment.starts, dtype=np.float64)
-                seg_bytes = np.asarray(segment.src_bytes, dtype=np.int64)
-                seg_success = segment.success.astype(np.int64)
-                seg_dst = dst_remap[segment.dst_codes]
-            else:
-                seg_host = remap[src_codes[mask]]
-                seg_starts = np.asarray(
-                    segment.starts[mask], dtype=np.float64
-                )
-                seg_bytes = np.asarray(
-                    segment.src_bytes[mask], dtype=np.int64
-                )
-                seg_success = segment.success[mask].astype(np.int64)
-                seg_dst = dst_remap[segment.dst_codes[mask]]
-            rows_total += len(seg_starts)
-            if max_rows is not None and rows_total > max_rows:
-                raise StorageBudgetError(
-                    f"gather exceeded the materialisation budget of "
-                    f"{max_rows} rows at segment {meta.name}"
-                )
-            chunk_host.append(seg_host)
-            chunk_starts.append(seg_starts)
-            chunk_bytes.append(seg_bytes)
-            chunk_success.append(seg_success)
-            chunk_dst.append(seg_dst)
-
-        if not chunk_starts:
-            return _empty_gather(pruned_host, pruned_time)
-        _ROWS_READ.inc(rows_total)
-
-        host_idx = np.concatenate(chunk_host)
-        starts_arr = np.concatenate(chunk_starts)
-        bytes_arr = np.concatenate(chunk_bytes)
-        success_arr = np.concatenate(chunk_success)
-        dst_arr = np.concatenate(chunk_dst)
-
-        # Present hosts in sorted order, renumbered densely.  The codes
-        # in ``host_idx`` are first-appearance order; translate them to
-        # sorted order before grouping.
-        ordered_hosts = sorted(global_hosts)
-        translate = np.empty(len(global_hosts), dtype=np.int64)
-        for rank, host in enumerate(ordered_hosts):
-            translate[global_hosts[host]] = rank
-        host_idx = translate[host_idx]
-
-        # The in-memory plane's ordering contract, reproduced: a single
-        # stable sort by start time over arrival order (FlowStore's
-        # global sort), then a stable group-by host — within each host,
-        # rows ascend by start with arrival order breaking ties.
-        order = np.argsort(starts_arr, kind="stable")
-        order = order[np.argsort(host_idx[order], kind="stable")]
-
-        host_idx = host_idx[order]
-        counts = np.bincount(host_idx, minlength=len(ordered_hosts)).astype(
-            np.int64
-        )
-        present = counts > 0
-        kept_hosts = tuple(
-            h for h, keep in zip(ordered_hosts, present) if keep
-        )
-        counts = counts[present]
-
-        return Gathered(
-            hosts=kept_hosts,
-            counts=counts,
-            starts=starts_arr[order],
-            src_bytes=bytes_arr[order],
-            success=success_arr[order],
-            dst_codes=dst_arr[order],
-            n_destinations=len(global_dsts),
-            dsts=tuple(global_dsts),
-            segments_read=len(chunk_starts),
-            segments_pruned_host=pruned_host,
-            segments_pruned_time=pruned_time,
-        )
 
     # ------------------------------------------------------------------
     # Compaction
@@ -870,3 +881,30 @@ class SegmentStore:
         from .view import StoreView
 
         return StoreView(self, **kwargs)
+
+
+class StoreChain(_SegmentReads):
+    """A read-only catalog over several stores, in the order given.
+
+    Its segments are each store's segments in manifest order, one
+    store after another, so one gather over the chain sorts the rows
+    with the tie order a :class:`~repro.flows.store.FlowStore` gets
+    from ``extend``-ing each store's rows in turn.  A
+    :class:`~repro.storage.view.StoreView` reads a chain as it reads
+    one store; the serve drain scores every epoch's shard spools
+    through one.
+    """
+
+    def __init__(self, stores: Sequence[SegmentStore]) -> None:
+        self.stores = tuple(stores)
+
+    @property
+    def generation(self) -> int:
+        """Sum of the stores' generations: each only grows, so the sum
+        changes whenever any catalog does."""
+        return sum(store.generation for store in self.stores)
+
+    def segments(self) -> List[Segment]:
+        return [
+            segment for store in self.stores for segment in store.segments()
+        ]

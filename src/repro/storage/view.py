@@ -22,18 +22,24 @@ run.
 Time-restricted views (:meth:`between`) carry the window into every
 gather, so zone-map pruning applies to replayed windows exactly as to
 host subsets.
+
+A view reads one :class:`~repro.storage.store.SegmentStore` or a
+:class:`~repro.storage.store.StoreChain` of several, in order: the
+chain's rows answer every query as one in-memory store holding each
+store's rows in turn would — how the serve drain scores every spool
+at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ..flows.record import FlowRecord, FlowState, Protocol
 from ..flows.store import ColumnarFlows, ShardColumns, group_by_host
 from .format import StorageBudgetError  # noqa: F401  (re-exported for callers)
-from .store import Gathered, SegmentStore
+from .store import Gathered, SegmentStore, StoreChain
 
 __all__ = ["StoreView"]
 
@@ -50,15 +56,16 @@ def _recode_first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 class StoreView:
-    """Read-only, optionally time-restricted view over a segment store.
+    """Read-only, optionally time-restricted view over segment stores.
 
     Feature kernels, the detection stages, and the feature extractor
-    accept this anywhere they accept a :class:`FlowStore`.
+    accept this anywhere they accept a :class:`FlowStore`.  ``store``
+    is one :class:`SegmentStore` or a :class:`StoreChain` of several.
     """
 
     def __init__(
         self,
-        store: SegmentStore,
+        store: Union[SegmentStore, StoreChain],
         *,
         t0: Optional[float] = None,
         t1: Optional[float] = None,
@@ -189,47 +196,23 @@ class StoreView:
         bit-identical features from them.
         """
         gathered = self.gather([host])
-        return self._records(gathered)
-
-    def records(self) -> List[FlowRecord]:
-        """Every row in the view as synthetic records (host-grouped).
-
-        Same projection caveats as :meth:`flows_from`; rows come back
-        grouped by host in the gather's host order, start-sorted within
-        each host.  This is the replay path: the serve coordinator
-        feeds these records to a fresh detector (restart) or an
-        in-memory store (drain rescore) and gets bit-identical features
-        because only the feature-bearing columns ever mattered.
-        """
-        return self._records(self.gather())
-
-    @staticmethod
-    def _records(gathered: Gathered) -> List[FlowRecord]:
-        records: List[FlowRecord] = []
         dsts = gathered.dsts
-        srcs: List[str] = []
-        for host, count in zip(gathered.hosts, gathered.counts.tolist()):
-            srcs.extend([host] * count)
-        for src, start, size, ok, dcode in zip(
-            srcs,
-            gathered.starts.tolist(),
-            gathered.src_bytes.tolist(),
-            gathered.success.tolist(),
-            gathered.dst_codes.tolist(),
-        ):
-            records.append(
-                FlowRecord(
-                    src=src,
-                    dst=dsts[dcode],
-                    sport=0,
-                    dport=0,
-                    proto=Protocol.TCP,
-                    start=start,
-                    end=start,
-                    src_bytes=size,
-                    state=(
-                        FlowState.ESTABLISHED if ok else FlowState.TIMEOUT
-                    ),
-                )
+        return [
+            FlowRecord(
+                src=host,
+                dst=dsts[dcode],
+                sport=0,
+                dport=0,
+                proto=Protocol.TCP,
+                start=start,
+                end=start,
+                src_bytes=size,
+                state=FlowState.ESTABLISHED if ok else FlowState.TIMEOUT,
             )
-        return records
+            for start, size, ok, dcode in zip(
+                gathered.starts.tolist(),
+                gathered.src_bytes.tolist(),
+                gathered.success.tolist(),
+                gathered.dst_codes.tolist(),
+            )
+        ]

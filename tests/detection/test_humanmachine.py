@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.detection.humanmachine import (
-    MIN_SAMPLES,
     cluster_hosts,
     cluster_matrix,
     host_histograms,

@@ -1,6 +1,9 @@
 """The live telemetry endpoint: /metrics, /healthz, /summary."""
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -99,3 +102,51 @@ class TestLifecycle:
             second = obs.parse_prom(get(server.url + "/metrics")[2].decode())
         assert first["live_updates_total"][()] == 1.0
         assert second["live_updates_total"][()] == 3.0
+
+
+class TestKeepAlive:
+    """Replies on a reused connection do not wait on a delayed ACK.
+
+    A response is written as headers then body; with Nagle on, the
+    body waits for the client to ACK the headers, which a keep-alive
+    client delays by ~40 ms.  A fresh connection per request hides
+    this (the kernel ACKs a new connection's first segments at once),
+    so the round trips here share one ``HTTPConnection``.
+    """
+
+    BODY = b"x" * 300_000
+
+    @staticmethod
+    def round_trips(server, method, path, body, n=20):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            times = []
+            for _ in range(n):
+                t0 = time.perf_counter()
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                payload = resp.read()
+                times.append(time.perf_counter() - t0)
+                assert resp.status == 200
+            return times, payload
+        finally:
+            conn.close()
+
+    def test_get_median_round_trip_under_20ms(self, clean_obs):
+        with MetricsServer(port=0) as server:
+            times, payload = self.round_trips(server, "GET", "/healthz", None)
+        assert json.loads(payload)["status"] == "ok"
+        assert statistics.median(times) < 0.020
+
+    def test_post_300kb_median_round_trip_under_20ms(self, clean_obs):
+        def echo_length(body, query):
+            return 200, {"bytes": len(body)}
+
+        with MetricsServer(
+            port=0, routes={("POST", "/ingest"): echo_length}
+        ) as server:
+            times, payload = self.round_trips(
+                server, "POST", "/ingest", self.BODY
+            )
+        assert json.loads(payload) == {"bytes": len(self.BODY)}
+        assert statistics.median(times) < 0.020

@@ -4,9 +4,11 @@ no duplicate verdicts, rebalance epochs."""
 from __future__ import annotations
 
 import json
+import os
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,35 @@ class TestWorkerDeathRecovery:
             for v in coordinator.verdicts_doc()["finalized"]
         ]
         assert len(keys) == len(set(keys))
+
+
+def _thread_cpu_seconds(native_id: int) -> float:
+    """User + system CPU time of one thread of this process."""
+    stat = Path(f"/proc/self/task/{native_id}/stat").read_text()
+    fields = stat.rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+class TestSupervisor:
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").exists(), reason="needs /proc"
+    )
+    def test_dead_unretired_worker_does_not_spin(self, make_coordinator):
+        """The supervisor sleeps on the worker outboxes; a worker that
+        died and is not being replaced (the service is draining) must
+        leave it asleep, not spinning on a readable handle."""
+        coordinator = make_coordinator(n_shards=2)
+        assert sorted(coordinator.evaluate()["replied"]) == [0, 1]
+        coordinator._draining.set()  # no respawn from here on
+        worker = coordinator._workers[0]
+        worker.process.kill()
+        worker.process.join(timeout=10)
+        assert not worker.process.is_alive() and not worker.retired
+        supervisor = coordinator._supervisor.native_id
+        before = _thread_cpu_seconds(supervisor)
+        time.sleep(1.0)
+        assert _thread_cpu_seconds(supervisor) - before < 0.2
+        assert not worker.retired
 
 
 class TestRebalance:

@@ -8,6 +8,7 @@ percentile thresholds amplify any drift into different suspect sets.
 """
 
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.flows import FlowRecord, FlowState, FlowStore, Protocol
 from repro.flows.metrics import extract_all_features, extract_features_sharded
-from repro.storage import StorageBudgetError, StoreView, spool_flow_store
+from repro.storage import (
+    SegmentStore,
+    StorageBudgetError,
+    StoreChain,
+    StoreView,
+    spool_flow_store,
+)
 
 
 def flow(src, dst="d", start=0.0, src_bytes=100, failed=False):
@@ -103,6 +110,97 @@ class TestHypothesisRoundTrip:
         assert view.initiators == store.initiators
         assert_columnar_equal(view.columnar(), store.columnar())
         assert extract_all_features(view) == extract_all_features(store)
+
+
+# Flow rows on a coarse clock: most starts tie with another row's, so
+# the order a multi-store gather breaks ties in shows in the features.
+tied_flow_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=30).map(float),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    min_size=8,
+    max_size=120,
+)
+
+
+class TestMultiStoreView:
+    """One view over several stores ≡ one in-memory store of their rows.
+
+    The rows are split the way the serve plane spools them: cut into
+    consecutive runs (epochs), each run split by host hash (shards),
+    and the stores chained epoch by epoch, shard by shard.  A host may
+    therefore sit in several stores; equal start times must still tie
+    in arrival order, as in a :class:`FlowStore` of the rows in order.
+    """
+
+    CONFIG = PipelineConfig(reduction_percentile=10.0, vol_percentile=90.0)
+
+    @given(
+        rows=st.one_of(flow_rows, tied_flow_rows),
+        cuts=st.lists(st.integers(min_value=0, max_value=100), max_size=3),
+        n_shards=st.integers(min_value=1, max_value=3),
+        segment_rows=st.integers(min_value=1, max_value=32),
+        window=st.tuples(
+            st.floats(min_value=0.0, max_value=1000.0),
+            st.floats(min_value=0.0, max_value=1000.0),
+        )
+        | st.tuples(
+            st.integers(min_value=0, max_value=31).map(float),
+            st.integers(min_value=0, max_value=31).map(float),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chained_stores_match_one_flow_store(
+        self, rows, cuts, n_shards, segment_rows, window, tmp_path_factory
+    ):
+        flows = [
+            flow(src=f"h{s}", dst=f"d{d}", start=t, src_bytes=b, failed=bad)
+            for s, d, t, b, bad in rows
+        ]
+        # Epoch boundaries at percentages of the row list.
+        bounds = [0, *sorted(len(flows) * c // 100 for c in cuts), len(flows)]
+        tmp = tmp_path_factory.mktemp("chain")
+        stores = []
+        for epoch, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for shard in range(n_shards):
+                part = [
+                    f for f in flows[lo:hi]
+                    if zlib.crc32(f.src.encode()) % n_shards == shard
+                ]
+                store = SegmentStore.create(tmp / f"e{epoch}-s{shard}")
+                writer = store.writer(segment_rows=segment_rows)
+                for f in part:
+                    writer.add(f)
+                writer.cut()
+                stores.append(store)
+        mem = FlowStore(flows)
+        view = StoreView(StoreChain(stores))
+
+        assert len(view) == len(mem)
+        assert view.flow_counts() == mem.flow_counts()
+        assert_columnar_equal(view.columnar(), mem.columnar())
+        assert extract_features_sharded(view) == extract_features_sharded(mem)
+        assert extract_features_sharded(view) == extract_all_features(mem)
+        disk = find_plotters(view, mem.initiators, self.CONFIG)
+        ref = find_plotters(mem, mem.initiators, self.CONFIG)
+        assert disk.suspects == ref.suspects
+        assert disk.funnel() == ref.funnel()
+
+        t0, t1 = sorted(window)
+        mem_win, view_win = mem.between(t0, t1), view.between(t0, t1)
+        assert view_win.flow_counts() == mem_win.flow_counts()
+        assert extract_features_sharded(view_win) == extract_features_sharded(
+            mem_win
+        )
+        if mem_win:
+            disk = find_plotters(view_win, mem_win.initiators, self.CONFIG)
+            ref = find_plotters(mem_win, mem_win.initiators, self.CONFIG)
+            assert disk.suspects == ref.suspects
+            assert disk.funnel() == ref.funnel()
 
 
 class TestViewEquivalence:
