@@ -96,11 +96,12 @@ def host_histograms(
     histograms: Dict[str, Histogram] = {}
     for host in hosts:
         bundle = features.get(host)
-        samples = list(bundle.interstitials) if bundle is not None else []
+        samples = bundle.interstitials if bundle is not None else ()
         if len(samples) < min_samples:
             continue
+        samples = np.asarray(samples, dtype=np.float64)
         if log_scale:
-            samples = [np.log10(max(s, _LOG_FLOOR)) for s in samples]
+            samples = np.log10(np.maximum(samples, _LOG_FLOOR))
         histograms[host] = build_histogram(samples)
     return histograms
 

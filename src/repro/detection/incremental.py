@@ -145,24 +145,31 @@ class OnlineDetector:
         return self.window_origin + k * self.window
 
     def ingest(self, flow: FlowRecord) -> None:
-        """Feed one flow; rolls the window when the flow starts past it.
-
-        ``flow`` needs only the attributes the streaming extractor
-        reads (see :meth:`StreamingFeatureExtractor.update`).
-        """
-        if self._window_start is None:
-            self._window_start = self._aligned_start(flow.start)
-        elif flow.start >= self._window_start + self.window:
-            self._finalize(self._window_start + self.window)
-            # Advance by whole windows so a long gap skips empty ones.
-            while flow.start >= self._window_start + self.window:
-                self._window_start += self.window
-        self._extractor.update(flow)
+        """Feed one flow, as a batch of one (see :meth:`ingest_many`)."""
+        self.ingest_many((flow,))
 
     def ingest_many(self, flows) -> None:
-        """Feed an iterable of flows (must be roughly time-ordered)."""
+        """Feed an iterable of flows (must be roughly time-ordered);
+        rolls the window when a flow starts past it.
+
+        A flow needs only the attributes the streaming extractor reads
+        (see :meth:`StreamingFeatureExtractor.update`).  Each window's
+        run of the batch reaches the extractor as one batch, so
+        telemetry counts batches, not flows.
+        """
+        run: List[FlowRecord] = []
         for flow in flows:
-            self.ingest(flow)
+            if self._window_start is None:
+                self._window_start = self._aligned_start(flow.start)
+            elif flow.start >= self._window_start + self.window:
+                self._extractor.update_many(run)
+                run = []
+                self._finalize(self._window_start + self.window)
+                # Advance by whole windows so a long gap skips empty ones.
+                while flow.start >= self._window_start + self.window:
+                    self._window_start += self.window
+            run.append(flow)
+        self._extractor.update_many(run)
 
     def _finalize(self, at: float) -> None:
         self.history.append(self.evaluate(at))

@@ -30,7 +30,7 @@ from ..detection.humanmachine import MIN_SAMPLES, cluster_matrix, theta_hm
 from ..detection.pipeline import PipelineConfig, find_plotters
 from ..detection.reduction import initial_data_reduction
 from ..detection.volume import theta_vol, volume_metric
-from ..stats.emd import emd_1d
+from ..stats.emd import pairwise_emd
 from ..stats.histogram import Histogram, build_histogram
 from ..stats.thresholds import select_below
 from .config import ExperimentContext
@@ -138,11 +138,14 @@ def _hm_selected(
     distance: Optional[Callable[[Histogram, Histogram], float]] = None,
     log_scale: bool = True,
 ) -> Set[str]:
-    """θ_hm with pluggable binning/distance, on the day's usual input."""
+    """θ_hm with pluggable binning/distance, on the day's usual input.
+
+    Without a ``distance`` the matrix is θ_hm's own EMD engine,
+    :func:`~repro.stats.emd.pairwise_emd`.
+    """
     features = ctx.features(day)
     result = ctx.pipeline_result(day)
     union = sorted(result.union_vol_churn)
-    metric = distance if distance is not None else emd_1d
 
     histograms: Dict[str, Histogram] = {}
     for host in union:
@@ -154,13 +157,16 @@ def _hm_selected(
             samples = [float(np.log10(max(s, 1e-3))) for s in samples]
         histograms[host] = histogram_builder(samples)
     hosts = sorted(histograms)
-    n = len(hosts)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metric(histograms[hosts[i]], histograms[hosts[j]])
-            dist[i, j] = d
-            dist[j, i] = d
+    if distance is None:
+        dist = pairwise_emd([histograms[host] for host in hosts])
+    else:
+        n = len(hosts)
+        dist = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = distance(histograms[hosts[i]], histograms[hosts[j]])
+                dist[i, j] = d
+                dist[j, i] = d
     clustering = cluster_matrix(
         hosts,
         dist,

@@ -40,15 +40,28 @@ one stood.
 
 Block parse
 -----------
-Reading never builds a record per row to validate it.  ``csv.reader``
-tokenises; every :data:`_BLOCK_ROWS` rows are transposed with
-``zip(*rows)``, each column goes through the same ``float``, ``int``
-and ``bytes.fromhex`` calls :func:`row_to_flow` makes, and the block is
-checked column-wise for everything :func:`row_to_flow` checks.  A block
-that any check flags is re-run row by row through :func:`row_to_flow`,
-which therefore alone decides which rows survive and words every
-``source:lineno: message``.  The validated columns feed the consumers
-directly: the segment spool (:meth:`SegmentWriter.append_columns
+Reading builds neither a record per row to validate it nor a Python
+string per numeric field.  The trace's physical lines are cut into
+blocks of :data:`_BLOCK_ROWS`.  A cheap screen checks that
+``csv.reader`` would split every line of a block exactly at its commas:
+no quote, NUL or ASCII information separator, no ``\\r`` but in a line
+end, no line longer than ``csv.field_size_limit()``, no parse corruptor
+active, and at least one non-blank line.  Such a block is parsed by one
+call of numpy's C text reader (``np.loadtxt``) into a structured table
+— float64 times, int64 ports and counts, the text fields as ``str`` —
+and the table is checked column-wise for everything :func:`row_to_flow`
+checks.  numpy accepts a subset of what ``float``/``int`` accept, with
+the same bits: it refuses ``1_0``, non-ASCII digits and counts past
+int64, and those rows take the row path.
+
+Every other block — one the screen, numpy or a column check flags —
+takes the row path: ``csv.reader`` reads it, pulling on past its last
+line while a quoted field is still open, and :func:`row_to_flow`
+checks each row.  So :func:`row_to_flow` alone decides which rows
+survive and words every ``source:lineno: message``, and the columns of
+the rows it accepts come from their records.  The validated columns
+feed the consumers directly: the segment spool
+(:meth:`SegmentWriter.append_columns
 <repro.storage.writer.SegmentWriter.append_columns>`), the serve
 coordinator (:func:`loads_columns`) and, for the in-memory readers,
 the records of a :class:`FlowStore`.
@@ -70,11 +83,10 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from math import isfinite
-from operator import is_, lt
+from itertools import chain, islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -87,6 +99,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs.logconf import get_logger
@@ -143,10 +157,11 @@ PARSE_ERROR_MODES = ("strict", "skip", "quarantine")
 #: bounded so a 99%-corrupt file cannot balloon the report.
 _REPORT_ERROR_CAP = 32
 
-#: Rows per parse block.  Smaller blocks stay cache-resident while they
-#: are transposed and converted; 512 read the paper-day trace fastest of
-#: 256-16,384 (one pinned vCPU of a 2-vCPU Xeon VM).  Not an option: it
-#: changes no output.
+#: Physical lines per parse block, one ``np.loadtxt`` call each.  512,
+#: 2,048 and 4,096 read the paper-day trace and 2,000-row serve chunks
+#: equally fast (one pinned vCPU of a 2-vCPU Xeon VM); a smaller block
+#: keeps less of a trace on the row path behind one bad row.  Not an
+#: option: it changes no output.
 _BLOCK_ROWS = 512
 
 #: Largest count the int64 storage columns hold.
@@ -154,6 +169,47 @@ _INT64_MAX = 2**63 - 1
 
 _PROTOCOLS = {proto.value: proto for proto in Protocol}
 _STATES = {state.value: state for state in FlowState}
+
+#: One row as numpy's text reader parses it: float64 times, int64 ports
+#: and counts, and the text fields as ``str`` objects.
+_ROW_DTYPE = np.dtype(
+    list(
+        zip(
+            ARGUS_COLUMNS,
+            (np.float64, np.float64, object, object, np.int64, object, np.int64,
+             np.int64, np.int64, np.int64, np.int64, object, object),
+        )
+    )
+)
+_COUNT_COLUMNS = ("src_pkts", "dst_pkts", "src_bytes", "dst_bytes")
+
+#: Lines ``csv.reader`` yields no row for; numpy's reader skips them too.
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+
+#: Characters on which ``csv.reader`` and numpy's reader part: the
+#: quote, NUL, and the ASCII information separators, which numpy strips
+#: around a number as whitespace and ``float()``/``int()`` do not.
+_UNSCREENED = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _loadtxt_ints_strictly() -> bool:
+    """Whether numpy's text reader refuses a non-integer in an int
+    column, as ``int()`` does.
+
+    From 1.23 numpy parsed such a field via ``float`` instead, with a
+    ``DeprecationWarning``, until the deprecation expired; on such a
+    numpy every block takes the row path.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.5"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_LOADTXT_INTS_STRICT = _loadtxt_ints_strictly()
 
 logger = get_logger("flows.argus")
 
@@ -340,140 +396,175 @@ class FlowColumns(NamedTuple):
     success: Sequence[bool]
 
 
-class _Block(NamedTuple):
-    """One block of valid rows as converted columns (Argus order)."""
+class _TableBlock(NamedTuple):
+    """A block numpy's text reader parsed and the column checks passed."""
 
-    start: List[float]
-    end: List[float]
-    proto: List[Protocol]
-    src: Sequence[str]
-    sport: List[int]
-    dst: Sequence[str]
-    dport: List[int]
-    src_pkts: List[int]
-    dst_pkts: List[int]
-    src_bytes: List[int]
-    dst_bytes: List[int]
-    state: List[FlowState]
+    table: np.ndarray
+    proto: List[str]
+    state: List[str]
     payload: List[bytes]
 
-    def projected(self) -> FlowColumns:
-        success = list(map(is_, self.state, repeat(FlowState.ESTABLISHED)))
-        return FlowColumns(self.src, self.dst, self.start, self.src_bytes, success)
+    def columns(self) -> FlowColumns:
+        table = self.table
+        return FlowColumns(
+            table["src"].tolist(),
+            table["dst"].tolist(),
+            table["start"].tolist(),
+            table["src_bytes"].tolist(),
+            list(map(FlowState.ESTABLISHED.value.__eq__, self.state)),
+        )
 
     def records(self) -> Iterator[FlowRecord]:
+        table = self.table
         return map(
-            FlowRecord, self.src, self.dst, self.sport, self.dport,
-            self.proto, self.start, self.end, self.src_bytes,
-            self.dst_bytes, self.src_pkts, self.dst_pkts, self.state,
+            FlowRecord,
+            table["src"].tolist(),
+            table["dst"].tolist(),
+            table["sport"].tolist(),
+            table["dport"].tolist(),
+            map(_PROTOCOLS.__getitem__, self.proto),
+            table["start"].tolist(),
+            table["end"].tolist(),
+            table["src_bytes"].tolist(),
+            table["dst_bytes"].tolist(),
+            table["src_pkts"].tolist(),
+            table["dst_pkts"].tolist(),
+            map(_STATES.__getitem__, self.state),
             self.payload,
         )
 
 
-def _convert_block(rows: List[List[str]]) -> Optional[_Block]:
-    """``rows`` as converted columns, or ``None`` if any row is invalid.
+class _RecordBlock(NamedTuple):
+    """The rows :func:`row_to_flow` accepted from a block that took the
+    row path."""
 
-    Column-wise, the checks :func:`row_to_flow` makes row by row: the
-    same conversion calls, enum membership by value, then the ranges.
-    """
-    try:
-        (start, end, proto, src, sport, dst, dport, src_pkts, dst_pkts,
-         src_bytes, dst_bytes, state, payload) = zip(*rows, strict=True)
-        block = _Block(
-            list(map(float, start)),
-            list(map(float, end)),
-            list(map(_PROTOCOLS.__getitem__, proto)),
-            src,
-            list(map(int, sport)),
-            dst,
-            list(map(int, dport)),
-            list(map(int, src_pkts)),
-            list(map(int, dst_pkts)),
-            list(map(int, src_bytes)),
-            list(map(int, dst_bytes)),
-            list(map(_STATES.__getitem__, state)),
-            list(map(bytes.fromhex, payload)),
+    flows: List[FlowRecord]
+
+    def columns(self) -> FlowColumns:
+        flows = self.flows
+        return FlowColumns(
+            [flow.src for flow in flows],
+            [flow.dst for flow in flows],
+            [flow.start for flow in flows],
+            [flow.src_bytes for flow in flows],
+            [flow.state is FlowState.ESTABLISHED for flow in flows],
         )
-    except (ValueError, KeyError):
+
+    def records(self) -> Iterator[FlowRecord]:
+        return iter(self.flows)
+
+
+_Block = Union[_TableBlock, _RecordBlock]
+
+
+def _read_table(lines: List[str]) -> Optional[np.ndarray]:
+    """``lines`` as a :data:`_ROW_DTYPE` table, or ``None`` where
+    numpy's text reader refuses them (a field it cannot convert, a line
+    of the wrong arity, an embedded line break) or would parse an int
+    field via ``float`` (see :func:`_loadtxt_ints_strictly`)."""
+    if not _LOADTXT_INTS_STRICT:
         return None
-    counts = (block.src_pkts, block.dst_pkts, block.src_bytes, block.dst_bytes)
-    if (
-        any(map(lt, block.end, block.start))
-        # NaN fails no comparison, so finiteness is screened on the
-        # times' sum, confirmed value by value only when the sum is not
-        # finite (huge finite times can overflow it).
-        or not (
-            isfinite(sum(block.start) + sum(block.end))
-            or all(map(isfinite, chain(block.start, block.end)))
+    try:
+        return np.loadtxt(
+            lines,
+            dtype=_ROW_DTYPE,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=1,
         )
-        or min(map(min, counts)) < 0
-        or max(map(max, counts)) > _INT64_MAX
-        or min(min(block.sport), min(block.dport)) < 0
-        or max(max(block.sport), max(block.dport)) > 65535
+    except ValueError:
+        return None
+
+
+def _table_block(lines: List[str]) -> Optional[_TableBlock]:
+    """The rows of ``lines``, or ``None`` if any of them is invalid.
+
+    Column-wise, the checks :func:`row_to_flow` makes row by row, on
+    the values numpy's reader gave (which ``float``/``int`` give too):
+    finite times with ``end >= start``, counts in ``[0, 2**63 - 1]``
+    (int64 holds no more), ports in ``[0, 65535]``, protocol and state
+    membership by value, then ``bytes.fromhex`` on each payload.
+    """
+    table = _read_table(lines)
+    if table is None:
+        return None
+    start, end = table["start"], table["end"]
+    if not (
+        np.isfinite(start).all()
+        and np.isfinite(end).all()
+        and (end >= start).all()
+        and min(table[name].min() for name in _COUNT_COLUMNS) >= 0
+        and min(table["sport"].min(), table["dport"].min()) >= 0
+        and max(table["sport"].max(), table["dport"].max()) <= 65535
     ):
         return None
-    return block
-
-
-def _valid_block(rows: List[List[str]]) -> _Block:
-    """Columns of rows :func:`row_to_flow` has accepted one by one."""
-    block = _convert_block(rows)
-    if block is None:
-        raise AssertionError("block checks disagree with row_to_flow")
-    return block
-
-
-def _read_block(
-    reader,
-) -> Tuple[List[List[str]], List[int], Optional[csv.Error], bool]:
-    """Up to :data:`_BLOCK_ROWS` rows from ``reader`` with their lines.
-
-    Returns ``(rows, line numbers, tokenizer error, more)``: blank rows
-    are dropped, a ``csv.Error`` ends the block early (the reader then
-    resumes at the line after it), and ``more`` is false once the input
-    is exhausted.
-    """
-    rows: List[List[str]] = []
-    lines: List[int] = []
-    add_row, add_line = rows.append, lines.append
-    first_line = reader.line_num
+    proto = table["proto"].tolist()
+    state = table["state"].tolist()
+    if not (set(proto) <= _PROTOCOLS.keys() and set(state) <= _STATES.keys()):
+        return None
     try:
-        for row in islice(reader, _BLOCK_ROWS):
-            if row:
-                add_row(row)
-                add_line(reader.line_num)
-    except csv.Error as exc:
-        return rows, lines, exc, True
-    return rows, lines, None, reader.line_num != first_line
+        payload = list(map(bytes.fromhex, table["payload_hex"].tolist()))
+    except ValueError:
+        return None
+    return _TableBlock(table, proto, state, payload)
+
+
+def _screened(lines: List[str], bare_cr: bool, field_limit: int) -> bool:
+    """Whether ``csv.reader`` would split each of ``lines`` exactly at
+    its commas, as numpy's reader does, and one of them holds a row.
+
+    None of :data:`_UNSCREENED`; no ``\\r`` but in a line end
+    (``bare_cr`` says whether a line may hold one elsewhere: string
+    input is split at ``\\n`` only); no line longer than the field
+    limit, so no field passes it; not only blank lines, on which numpy
+    warns.
+    """
+    text = "".join(lines)
+    return (
+        not any(map(text.__contains__, _UNSCREENED))
+        and not (bare_cr and text.count("\r") != text.count("\r\n"))
+        and (
+            len(text) <= field_limit
+            or max(map(len, lines)) <= field_limit
+        )
+        and not all(map(_BLANK_LINES.__contains__, lines))
+    )
 
 
 def _parse_blocks(
-    reader,
+    lines: Iterator[str],
     *,
     source: str,
     errors: str,
     report: IngestReport,
     dead_letter: Optional[_DeadLetterWriter],
+    bare_cr: bool,
 ) -> Iterator[_Block]:
-    """Parse CSV rows under the given malformed-row policy, by block.
+    """Parse a trace's physical lines under the given malformed-row
+    policy, by block.
 
-    ``reader`` must be a ``csv.reader`` (its ``line_num`` attribute
-    provides the physical line for error context).  A UTF-8 BOM on the
-    header row is tolerated — collectors on Windows prepend one.  In
-    strict mode the valid rows before the first bad one are yielded
-    before the ``ValueError`` is raised, as a row-by-row read would.
+    ``lines`` is the text split as ``csv.reader`` would be fed it, so
+    line numbers in error context count the same physical lines.  A
+    UTF-8 BOM on the header row is tolerated — collectors on Windows
+    prepend one.  In strict mode the valid rows before the first bad
+    one are yielded before the ``ValueError`` is raised, as a
+    row-by-row read would.
     """
+    header_reader = csv.reader(lines)
     try:
-        header = next(reader, None)
+        header = next(header_reader, None)
     except csv.Error as exc:
-        raise ValueError(f"{source}:{reader.line_num}: {exc}") from exc
+        raise ValueError(f"{source}:{header_reader.line_num}: {exc}") from exc
     if header is None:
         return
     if header:
         header = [_strip_bom(header[0])] + list(header[1:])
     if tuple(header) != ARGUS_COLUMNS:
         raise ValueError(f"{source}: unrecognised trace header: {header!r}")
+    line_num = header_reader.line_num
     corrupt = faults.parse_corruptor()
+    field_limit = csv.field_size_limit()
 
     def reject(row: List[str], lineno: int, exc: Exception) -> None:
         message = f"{source}:{lineno}: {exc}"
@@ -489,29 +580,48 @@ def _parse_blocks(
             report.rows_skipped += 1
             _ROWS_SKIPPED.inc()
 
-    more = True
-    while more:
-        rows, lines, torn, more = _read_block(reader)
-        if corrupt is not None:
-            rows = [corrupt(row) for row in rows]
-        block = _convert_block(rows) if rows else None
-        if block is None:
-            good: List[List[str]] = []
-            for row, lineno in zip(rows, lines):
-                try:
-                    row_to_flow(row)
-                except ValueError as exc:
-                    if errors == "strict" and good:
-                        yield _valid_block(good)
-                    reject(row, lineno, exc)
+    while True:
+        block = list(islice(lines, _BLOCK_ROWS))
+        if not block:
+            break
+        parsed = (
+            _table_block(block)
+            if corrupt is None and _screened(block, bare_cr, field_limit)
+            else None
+        )
+        if parsed is not None:
+            line_num += len(block)
+            report.rows_ok += len(parsed.table)
+            yield parsed
+            continue
+        # The row path: csv.reader over the block, pulling on past its
+        # last line while a quoted field is still open.
+        reader = csv.reader(chain(block, lines))
+        good: List[FlowRecord] = []
+        while reader.line_num < len(block):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                row, failure = [], exc
+            else:
+                if not row:
                     continue
-                good.append(row)
-            block = _valid_block(good) if good else None
-        if block is not None:
-            report.rows_ok += len(block.start)
-            yield block
-        if torn is not None:
-            reject([], reader.line_num, torn)
+                if corrupt is not None:
+                    row = corrupt(row)
+                try:
+                    good.append(row_to_flow(row))
+                    continue
+                except ValueError as exc:
+                    failure = exc
+            if errors == "strict" and good:
+                yield _RecordBlock(good)
+            reject(row, line_num + reader.line_num, failure)
+        line_num += reader.line_num
+        if good:
+            report.rows_ok += len(good)
+            yield _RecordBlock(good)
     _ROWS_OK.inc(report.rows_ok)
     if report.rows_bad:
         logger.warning(
@@ -569,7 +679,7 @@ def _spill_to_store(
         segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS
     ) as writer:
         for block in blocks:
-            writer.append_columns(*block.projected())
+            writer.append_columns(*block.columns())
     return StoreView(store)
 
 
@@ -606,11 +716,12 @@ def read_flows_report(
         # read identically.
         with open(path, newline="", encoding="utf-8-sig") as handle:
             blocks = _parse_blocks(
-                csv.reader(handle),
+                handle,
                 source=str(path),
                 errors=errors,
                 report=report,
                 dead_letter=sink,
+                bare_cr=False,
             )
             if to_store is not None:
                 store = _spill_to_store(blocks, to_store, segment_rows)
@@ -686,9 +797,9 @@ def loads_columns(
     columns = FlowColumns([], [], [], [], [])
     with _ingest("<string>", errors, None) as (report, sink):
         for block in _string_blocks(text, errors, report, sink):
-            for column, values in zip(columns, block.projected()):
+            for column, values in zip(columns, block.columns()):
                 column.extend(values)
-    order = sorted(range(len(columns.start)), key=columns.start.__getitem__)
+    order = np.argsort(np.array(columns.start), kind="stable").tolist()
     return FlowColumns(*(list(map(c.__getitem__, order)) for c in columns)), report
 
 
@@ -699,11 +810,12 @@ def _string_blocks(
     sink: Optional[_DeadLetterWriter],
 ) -> Iterator[_Block]:
     return _parse_blocks(
-        csv.reader(io.StringIO(text.lstrip("\ufeff"))),
+        io.StringIO(text.lstrip("\ufeff")),
         source="<string>",
         errors=errors,
         report=report,
         dead_letter=sink,
+        bare_cr=True,
     )
 
 

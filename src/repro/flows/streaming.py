@@ -36,9 +36,10 @@ __all__ = ["StreamingHostState", "StreamingFeatureExtractor"]
 #: Default cap on retained interstitial samples per host.
 DEFAULT_RESERVOIR = 4096
 
-# Ingest telemetry (no-ops while repro.obs is disabled).  The rate
-# gauge is refreshed every _RATE_REFRESH flows rather than per flow so
-# a busy border pays one division per batch, not per record.
+# Ingest telemetry (no-ops while repro.obs is disabled), counted once
+# per batch (:meth:`StreamingFeatureExtractor.update_many`), so a busy
+# border pays one counter increment and one rate refresh per batch, not
+# per record.
 _FLOWS_INGESTED = obs_metrics.counter(
     "repro_flows_ingested_total",
     "Flows consumed by streaming feature extractors",
@@ -47,7 +48,6 @@ _INGEST_RATE = obs_metrics.gauge(
     "repro_flow_ingest_rate_per_s",
     "Wall-clock ingest throughput of the busiest extractor (flows/s)",
 )
-_RATE_REFRESH = 1024
 
 
 @dataclass
@@ -98,9 +98,9 @@ class StreamingFeatureExtractor:
         Reads only ``src``, ``dst``, ``start``, ``src_bytes`` and
         ``failed``, so any object carrying those will do — the serve
         worker passes its light :class:`~repro.serve.worker.FlowRow`.
+        Telemetry counts batches: feed flows through :meth:`update_many`
+        to have them counted.
         """
-        if obs_metrics.is_enabled():
-            self._note_ingest()
         state = self._hosts.setdefault(flow.src, StreamingHostState())
         state.flow_count += 1
         if not flow.failed:
@@ -118,19 +118,19 @@ class StreamingFeatureExtractor:
         state.last_start[flow.dst] = flow.start
 
     def update_many(self, flows) -> None:
-        """Account an iterable of flows."""
+        """Account an iterable of flows as one batch: one increment of
+        ``repro_flows_ingested_total`` and one refresh of the rate
+        gauge, however many flows it holds."""
+        if self._ingest_t0 is None:
+            self._ingest_t0 = time.perf_counter()
+        count = 0
         for flow in flows:
             self.update(flow)
-
-    def _note_ingest(self) -> None:
-        """Count one ingested flow; periodically refresh the rate gauge."""
-        now = time.perf_counter()
-        if self._ingest_t0 is None:
-            self._ingest_t0 = now
-        self._ingested += 1
-        _FLOWS_INGESTED.inc()
-        if self._ingested % _RATE_REFRESH == 0:
-            elapsed = now - self._ingest_t0
+            count += 1
+        self._ingested += count
+        if obs_metrics.is_enabled():
+            _FLOWS_INGESTED.inc(count)
+            elapsed = time.perf_counter() - self._ingest_t0
             if elapsed > 0:
                 _INGEST_RATE.set(self._ingested / elapsed)
 
@@ -188,8 +188,8 @@ class StreamingFeatureExtractor:
 
     def all_features(self) -> Dict[str, HostFeatures]:
         """Feature bundles for every host seen."""
-        # Read-out is a natural refresh point, so short streams (fewer
-        # than _RATE_REFRESH flows) still report a throughput figure.
+        # Read-out refreshes the rate too, so it counts time since the
+        # last batch.
         if obs_metrics.is_enabled() and self._ingested:
             elapsed = time.perf_counter() - (self._ingest_t0 or 0.0)
             if elapsed > 0:

@@ -29,11 +29,12 @@ scoring the identical window the dead worker was filling.  Flows
 travel as rows of the storage plane's five columns — the coordinator
 zips them from the columns it decodes and has already validated;
 :func:`row_of` is the same projection of one record.  The worker feeds
-its detector each row as a :class:`FlowRow` — the five attributes the
-streaming extractor reads, nothing rebuilt or re-validated — and
-:func:`replay_rows` turns the spool's gathered columns into the same
-rows, so live ingest and spool replay feed the detector identical
-values.
+its detector each inbox batch in one ``ingest_many`` call, as
+:class:`FlowRow` tuples — the five attributes the streaming extractor
+reads, nothing rebuilt or re-validated — so ingest telemetry is counted
+once per batch; :func:`replay_rows` turns the spool's gathered columns into
+the same rows, so live ingest and spool replay feed the detector
+identical values.
 """
 
 from __future__ import annotations
@@ -140,14 +141,13 @@ def worker_main(
         window_origin=config.window_origin,
     )
 
-    def ingest(row: FlowRow) -> None:
+    def ingest(rows: List[FlowRow]) -> None:
         if score_all:
-            detector.internal_hosts.add(row.src)
-        detector.ingest(row)
+            detector.internal_hosts.update(row.src for row in rows)
+        detector.ingest_many(rows)
 
     replayed = replay_rows(spool_dir, replay_t0)
-    for row in replayed:
-        ingest(row)
+    ingest(replayed)
 
     shipped = 0
 
@@ -184,8 +184,12 @@ def worker_main(
         command, seq = message[0], message[1]
         if command == "flows":
             rows = message[2]
-            for src, dst, start, src_bytes, success in rows:
-                ingest(FlowRow(src, dst, start, src_bytes, not success))
+            ingest(
+                [
+                    FlowRow(src, dst, start, src_bytes, not success)
+                    for src, dst, start, src_bytes, success in rows
+                ]
+            )
             # The injected OOM-kill strikes here — after a batch is in
             # window state but before anything ships — so recovery
             # tests exercise the full replay path, not a lucky

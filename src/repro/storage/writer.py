@@ -21,7 +21,7 @@ surgical on replay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -75,10 +75,8 @@ class SegmentWriter:
         self._success: List[int] = []
         self._src_codes: List[int] = []
         self._dst_codes: List[int] = []
-        self._hosts: List[str] = []
-        self._host_code: Dict[str, int] = {}
-        self._dsts: List[str] = []
-        self._dst_code: Dict[str, int] = {}
+        self._host_code = _Codes()
+        self._dst_code = _Codes()
         self._approx_bytes = 0
 
     # -- producing ------------------------------------------------------
@@ -86,19 +84,11 @@ class SegmentWriter:
         self, src: str, dst: str, start: float, src_bytes: int, success: bool
     ) -> None:
         """Buffer one flow row (must arrive in ingest order)."""
-        code = self._host_code.get(src)
-        if code is None:
-            code = self._host_code[src] = len(self._hosts)
-            self._hosts.append(src)
-        dcode = self._dst_code.get(dst)
-        if dcode is None:
-            dcode = self._dst_code[dst] = len(self._dsts)
-            self._dsts.append(dst)
         self._starts.append(float(start))
         self._src_bytes.append(int(src_bytes))
         self._success.append(1 if success else 0)
-        self._src_codes.append(code)
-        self._dst_codes.append(dcode)
+        self._src_codes.append(self._host_code[src])
+        self._dst_codes.append(self._dst_code[dst])
         self._approx_bytes += _ROW_OVERHEAD
         if (
             len(self._starts) >= self.segment_rows
@@ -131,8 +121,8 @@ class SegmentWriter:
             )
             end = min(total, pos + max(1, room))
             part = slice(pos, end)
-            self._src_codes.extend(_encode(src[part], self._host_code, self._hosts))
-            self._dst_codes.extend(_encode(dst[part], self._dst_code, self._dsts))
+            self._src_codes.extend(map(self._host_code.__getitem__, src[part]))
+            self._dst_codes.extend(map(self._dst_code.__getitem__, dst[part]))
             self._starts.extend(start[part])
             self._src_bytes.extend(src_bytes[part])
             self._success.extend(success[part])
@@ -180,8 +170,8 @@ class SegmentWriter:
             success=np.asarray(self._success, dtype=np.uint8),
             src_codes=np.asarray(self._src_codes, dtype=np.int32),
             dst_codes=np.asarray(self._dst_codes, dtype=np.int32),
-            hosts=self._hosts,
-            dsts=self._dsts,
+            hosts=list(self._host_code),
+            dsts=list(self._dst_code),
         )
         self.rows_written += len(self._starts)
         self.segments_cut += 1
@@ -190,10 +180,8 @@ class SegmentWriter:
         self._success.clear()
         self._src_codes.clear()
         self._dst_codes.clear()
-        self._hosts = []
-        self._host_code = {}
-        self._dsts = []
-        self._dst_code = {}
+        self._host_code = _Codes()
+        self._dst_code = _Codes()
         self._approx_bytes = 0
         return True
 
@@ -211,13 +199,11 @@ class SegmentWriter:
             self.close()
 
 
-def _encode(
-    values: Sequence[str], code: Dict[str, int], table: List[str]
-) -> Iterator[int]:
-    """Dictionary codes of ``values``, new ones numbered in first-seen
-    order (as :meth:`SegmentWriter.append` numbers them)."""
-    for value in dict.fromkeys(values):
-        if value not in code:
-            code[value] = len(table)
-            table.append(value)
-    return map(code.__getitem__, values)
+class _Codes(dict):
+    """Dictionary codes in first-seen order: looking up a new value
+    assigns it the next code, and iteration runs in code order, so
+    ``list(codes)`` is the segment's string table."""
+
+    def __missing__(self, value: str) -> int:
+        code = self[value] = len(self)
+        return code

@@ -1,9 +1,14 @@
 """Tests for θ_hm — histograms, clustering, diameter filtering."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.detection.humanmachine import (
+    _LOG_FLOOR,
+    MIN_SAMPLES,
     cluster_hosts,
     cluster_matrix,
     host_histograms,
@@ -11,7 +16,7 @@ from repro.detection.humanmachine import (
     theta_hm,
 )
 from repro.flows import FlowRecord, FlowStore, Protocol
-from repro.flows.metrics import extract_all_features
+from repro.flows.metrics import HostFeatures, extract_all_features
 from repro.stats.emd import pairwise_emd
 from repro.stats.histogram import build_histogram
 
@@ -59,6 +64,38 @@ class TestHostHistograms:
         features = features_of(periodic_flows("bot", 100.0, 50))
         hist = host_histograms(features, ["bot"], log_scale=False)["bot"]
         assert hist.centers[0] == pytest.approx(100.0, abs=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e6),
+                st.sampled_from(
+                    [0.0, 5e-324, 1e-4, np.nextafter(_LOG_FLOOR, 0.0),
+                     _LOG_FLOOR, np.nextafter(_LOG_FLOOR, 1.0)]
+                ),
+            ),
+            min_size=MIN_SAMPLES,
+            max_size=300,
+        )
+    )
+    def test_log_histogram_bit_equal_to_per_sample_form(self, samples):
+        # One log10 over the host's samples bins exactly as one log10
+        # per sample on a Python float did, floor included.
+        bundle = HostFeatures(
+            host="h", flow_count=1, successful_flow_count=1,
+            avg_flow_size=0.0, failed_conn_rate=0.0, new_ip_fraction=0.0,
+            distinct_destinations=1, interstitials=tuple(samples),
+        )
+        hist = host_histograms({"h": bundle}, ["h"])["h"]
+        expected = build_histogram(
+            [np.log10(max(s, _LOG_FLOOR)) for s in samples]
+        )
+        assert np.array(hist.centers).tobytes() == np.array(expected.centers).tobytes()
+        assert np.array(hist.weights).tobytes() == np.array(expected.weights).tobytes()
+        assert struct.pack("<d", hist.bin_width) == struct.pack(
+            "<d", expected.bin_width
+        )
 
 
 class TestClusterHosts:

@@ -1,11 +1,15 @@
 """The block parser against its oracle, a per-row ``row_to_flow`` loop.
 
-``flows.argus`` checks each CSV block column-wise and re-runs a flagged
-block row by row, so :func:`row_to_flow` alone decides which rows
+``flows.argus`` parses each screened CSV block with numpy's text reader
+and checks it column-wise, and sends every other block (one the screen,
+numpy or a check flags) down the row path, ``csv.reader`` and
+:func:`row_to_flow`, so :func:`row_to_flow` alone decides which rows
 survive.  The traces here mix good rows with every kind of mangled row
 (arity, odd numeric strings, enums, hex, ranges, blank lines, quoted
-newlines, tokenizer errors), sized around the block boundary, and go
-through all three policies and all three readers.  Everything
+newlines, tokenizer errors, and the characters on which numpy's reader
+and ``csv.reader`` could part), sized around the block boundary, with
+and without a quoted host in every block, and go through all three
+policies and all three readers.  Everything
 observable must equal the reference loop kept in this file: the report,
 the error samples with their line numbers, the dead-letter bytes, the
 counter deltas and the surviving records or segment bytes — also what
@@ -16,19 +20,25 @@ from __future__ import annotations
 
 import csv
 import io
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.flows import argus
 from repro.flows.argus import (
     _BLOCK_ROWS,
     _REPORT_ERROR_CAP,
     ARGUS_COLUMNS,
+    _read_table,
+    _screened,
     DEAD_LETTER_COLUMNS,
     PARSE_ERROR_MODES,
+    dumps,
     flow_to_row,
     loads_columns,
     loads_report,
@@ -40,6 +50,10 @@ from repro.serve.worker import row_of
 from repro.storage import fresh_store
 
 HOSTS = [f"10.0.0.{i}" for i in range(5)] + ["10.0.0.9\nmultiline"]
+#: Hosts csv.writer leaves unquoted: a block of good rows over these
+#: reaches numpy's reader, where one quoted host sends it down the row
+#: path.
+PLAIN_HOSTS = HOSTS[:-1]
 COUNTERS = (
     "repro_ingest_rows_ok_total",
     "repro_ingest_rows_skipped_total",
@@ -54,14 +68,14 @@ NUMERIC = (
 )
 
 
-def good_row(i: int) -> list:
+def good_row(i: int, hosts: list = HOSTS) -> list:
     # Starts are not monotone, so the start-ordered readers reorder.
     start = float((i * 7919) % 1013) + i / 8.0
     return [
         repr(start),
         repr(start + (i % 4)),
         ("tcp", "udp")[i % 2],
-        HOSTS[i % len(HOSTS)],
+        hosts[i % len(hosts)],
         str(1024 + i),
         f"192.168.0.{i % 7}",
         "80",
@@ -93,6 +107,19 @@ def mangle(row: list, kind: str, a, b) -> object:
     elif a == "torn":  # the unterminated quote swallows two lines
         filler = "y" * (csv.field_size_limit() // 2 + 10)
         return '1.0,"torn\n' + filler + "\n" + filler
+    elif a == "bare_cr":  # a line break to a file, an error to a string
+        return ",".join(row[:3]) + "\r" + ",".join(row[3:])
+    elif a == "spaces":
+        return " \t "
+    elif a == "quote_at_block_end":
+        # Inserted after the header and five rows, as the single-mangle
+        # test inserts it, the blank lines push the quoted field's first
+        # line to the first block's last line, so the row path must pull
+        # the next line to close it.
+        row[3] += "\nspill"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(row)
+        return "\n" * (_BLOCK_ROWS - 6) + buf.getvalue()
     return row
 
 
@@ -112,11 +139,17 @@ SINGLE_MANGLES = (
     + [("end_before_start", d, None) for d in (0.5, 3.0)]
     + [("suffix", f, "\nspill") for f in (2, 3, 5, 11)]
     + [("raw", r, None) for r in ("blank", "oversized", "torn")]
+    # Where numpy's reader and csv.reader could split a line apart: the
+    # screen must send each of these down the row path.
+    + [("raw", r, None) for r in ("bare_cr", "spaces", "quote_at_block_end")]
+    + [("set", 3, v) for v in ('10.0.0.1"quoted', "10.0.0.1\0nul")]
+    + [("set", 0, "#1.0"), ("set", 0, "# x"), ("set", 0, "1.0\x1c"), ("set", 4, "\x1f80")]
+    + [("set", 3, "h" * n) for n in (csv.field_size_limit(), csv.field_size_limit() + 1)]
 )
 
 
 @st.composite
-def traces(draw):
+def traces(draw, hosts: list = HOSTS):
     """Trace text: good rows sized around the block boundary with
     mangled rows spliced in, ``\r\n`` or ``\n`` line ends, maybe a BOM."""
     b = _BLOCK_ROWS
@@ -129,9 +162,9 @@ def traces(draw):
     )
     newline = draw(st.sampled_from(["\r\n", "\n"]))
     bom = draw(st.booleans())
-    items = [good_row(i) for i in range(n_good)]
+    items = [good_row(i, hosts) for i in range(n_good)]
     for pos, (kind, a, b) in sorted(inserts, key=lambda t: t[0], reverse=True):
-        items.insert(pos, mangle(good_row(pos), kind, a, b))
+        items.insert(pos, mangle(good_row(pos, hosts), kind, a, b))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=newline)
     writer.writerow(ARGUS_COLUMNS)
@@ -266,16 +299,35 @@ def test_block_parse_equals_row_by_row_reference(text, segment_rows):
     check_trace(text, segment_rows)
 
 
-@pytest.mark.parametrize(
-    "kind,a,b",
-    SINGLE_MANGLES,
-    ids=[f"{kind}-{a}-{str(b)[:8]}" for kind, a, b in SINGLE_MANGLES],
-)
+@settings(max_examples=100, deadline=None)
+@given(text=traces(PLAIN_HOSTS), segment_rows=st.sampled_from([97, 1000]))
+def test_plain_block_parse_equals_row_by_row_reference(text, segment_rows):
+    # No quoted host: a block numpy's reader takes unless a mangled row
+    # in it sends it down the row path.
+    check_trace(text, segment_rows)
+
+
+MANGLE_IDS = [f"{kind}-{a}-{str(b)[:8]}" for kind, a, b in SINGLE_MANGLES]
+
+
+@pytest.mark.parametrize("kind,a,b", SINGLE_MANGLES, ids=MANGLE_IDS)
 def test_each_mangle_alone_in_a_block_equals_reference(kind, a, b):
     # The only odd row of its block, so the column checks alone must
     # flag it (or pass it) exactly as row_to_flow does.
-    rows = [good_row(i) for i in range(9)]
-    rows.insert(5, mangle(good_row(5), kind, a, b))
+    check_single_mangle(kind, a, b, HOSTS)
+
+
+@pytest.mark.parametrize("kind,a,b", SINGLE_MANGLES, ids=MANGLE_IDS)
+def test_each_mangle_alone_in_a_plain_block_equals_reference(kind, a, b):
+    # As above in a block numpy's reader would take without the mangled
+    # row: the screen, numpy or a column check must flag it (or pass
+    # it) exactly as row_to_flow does.
+    check_single_mangle(kind, a, b, PLAIN_HOSTS)
+
+
+def check_single_mangle(kind: str, a, b, hosts: list) -> None:
+    rows = [good_row(i, hosts) for i in range(9)]
+    rows.insert(5, mangle(good_row(5, hosts), kind, a, b))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(ARGUS_COLUMNS)
@@ -421,3 +473,93 @@ def test_append_columns_equals_row_by_row_append(
                 columns = [list(c) for c in zip(*rows[lo:hi])] or [[]] * 5
                 writer.append_columns(*columns)
         assert dir_bytes(tmp / "columns") == dir_bytes(tmp / "rows")
+
+
+# ----------------------------------------------------------------------
+# numpy's text reader
+# ----------------------------------------------------------------------
+#: Whitespace and digits beyond ASCII, signs, underscores, exponents,
+#: the letters of inf/nan, quote and NUL: the edges where
+#: ``float``/``int`` and numpy's converters could part.  No comma or
+#: line break: they would move the field.
+NUMBER_ALPHABET = (
+    "0123456789+-._eExXinfatyINFATY \t\x0b\x0c\x1c\x1d\x1e\x1f\x00\""
+    "\x85\xa0\u2003\u3000\u0661\uff11"
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.one_of(
+        st.floats().map(repr),
+        st.integers(-(2**64), 2**64).map(str),
+        st.text(alphabet=NUMBER_ALPHABET, max_size=12),
+        st.tuples(
+            st.text(alphabet=" \t\xa0", max_size=2),
+            st.one_of(st.floats().map(repr), st.integers().map(str)),
+            st.text(alphabet=" \t\xa0_", max_size=2),
+        ).map("".join),
+    ),
+    field=st.sampled_from(FLOAT_FIELDS + PORT_FIELDS + COUNT_FIELDS),
+)
+def test_numpy_reader_accepts_only_what_float_and_int_accept(text, field):
+    # Where the screen passes a line and numpy's reader converts its
+    # numeric field, float()/int() accept the same text and give the
+    # same bits, so a block numpy parses holds exactly the values
+    # row_to_flow would build.
+    row = good_row(1)
+    row[field] = text
+    lines = [",".join(row) + "\r\n"]
+    if not _screened(lines, True, csv.field_size_limit()):
+        return
+    table = _read_table(lines)
+    if table is None:
+        return
+    value = table[ARGUS_COLUMNS[field]][0]
+    if field in FLOAT_FIELDS:
+        assert struct.pack("<d", value) == struct.pack("<d", float(text))
+    else:
+        assert int(value) == int(text)
+
+
+@pytest.mark.parametrize("blank_lines", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_blank_line_blocks_emit_no_warning(blank_lines, tmp_path):
+    # np.loadtxt warns "input contained no data" on blank lines alone;
+    # a block of them must never reach it.
+    text = (
+        ",".join(ARGUS_COLUMNS) + "\r\n"
+        + "\r\n" * blank_lines
+        + ",".join(good_row(1)) + "\r\n"
+        + "\n" * blank_lines
+    )
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store, report = loads_report(text)
+        columns, _ = loads_columns(text)
+        read_flows_report(trace)
+        view, _ = read_flows_report(trace, to_store=tmp_path / "spool")
+    assert report.rows_ok == len(store) == len(columns.src) == len(view) == 1
+    assert rows_of(store) == [good_row(1)]
+
+
+def test_clean_trace_never_takes_the_row_path(monkeypatch, tmp_path):
+    # Every block of a clean trace is numpy's reader's: row_to_flow is
+    # never called.
+    flows = [row_to_flow(good_row(i, PLAIN_HOSTS)) for i in range(2 * _BLOCK_ROWS + 3)]
+    text = dumps(flows)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text, newline="")
+
+    def row_path(row):
+        raise AssertionError(f"row path taken for {row!r}")
+
+    monkeypatch.setattr(argus, "row_to_flow", row_path)
+    expected = rows_of(FlowStore(flows))
+    assert rows_of(loads_report(text)[0]) == expected
+    assert rows_of(read_flows_report(trace)[0]) == expected
+    columns, _ = loads_columns(text)
+    assert list(zip(*columns)) == [row_of(flow) for flow in FlowStore(flows)]
+    view, report = read_flows_report(trace, to_store=tmp_path / "spool")
+    assert report.rows_ok == len(view) == len(flows)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.detection import OnlineDetector, find_plotters
+from repro.flows import streaming
 
 STAGES = ("reduction", "theta_vol", "theta_churn", "theta_hm")
 
@@ -119,6 +120,33 @@ class TestOnlineDetectorTelemetry:
         assert s["repro_flows_ingested_total"][""] == len(
             list(overlaid_day.store)
         )
+
+    def test_ingest_counted_once_per_batch(
+        self, enabled_obs, overlaid_day, campus_day, monkeypatch
+    ):
+        # The serve worker feeds each inbox batch through ingest_many: the
+        # counter still equals the rows fed, in one increment per batch
+        # plus one per window tumble inside a batch.
+        flows = list(overlaid_day.store)
+        detector = OnlineDetector(
+            campus_day.all_hosts, window=campus_day.window / 3
+        )
+        counter = streaming._FLOWS_INGESTED
+        increments = []
+        inc = counter.inc
+
+        def counted(amount=1.0, **labels):
+            increments.append(amount)
+            inc(amount, **labels)
+
+        monkeypatch.setattr(counter, "inc", counted)
+        batches = [flows[i:i + 2000] for i in range(0, len(flows), 2000)]
+        for batch in batches:
+            detector.ingest_many(batch)
+        assert counter.value() == sum(increments) == len(flows)
+        assert len(detector.history) > 0
+        assert len(increments) == len(batches) + len(detector.history)
+        assert obs.gauge("repro_flow_ingest_rate_per_s").value() > 0
 
     def test_stage_spans_nest_under_online_evaluate(
         self, enabled_obs, overlaid_day, campus_day
