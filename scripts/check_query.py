@@ -56,7 +56,7 @@ _checklib.bootstrap()
 from repro.query.api import rescan_timeline  # noqa: E402
 from repro.query.index import QueryIndex, TornIndexError  # noqa: E402
 from repro.query.verdicts import VerdictDB  # noqa: E402
-from repro.storage import MANIFEST_NAME, SegmentStore  # noqa: E402
+from repro.storage import SegmentStore  # noqa: E402
 
 SEGMENT_ROWS = 16
 N_HOSTS = 12
@@ -117,16 +117,18 @@ def victim(store_dir: Path, seed: int) -> int:
     index, reason = QueryIndex.open_or_rebuild(store)
     assert reason is None, f"victim expected a current index, got {reason!r}"
     index.attach(store)
-    # The appended segment + manifest commit land (each stalled by the
-    # injected delay), then the commit hook stalls at the query-index
-    # I/O point — where the parent's SIGKILL finds us.
+    # The appended segment's commit lands (stalled by the injected
+    # delay), then the commit hook stalls at the query-index I/O point
+    # — where the parent's SIGKILL finds us.
     append_rows(store, synth_rows(seed, 3 * SEGMENT_ROWS, host_base="10.7.0"))
     print("victim: survived the append (kill came too late)", flush=True)
     return 0
 
 
 def read_generation(store_dir: Path) -> int:
-    return json.loads((store_dir / MANIFEST_NAME).read_text())["generation"]
+    # An append commits by renaming its segment into place and leaves
+    # the manifest snapshot alone: only the opened catalog moves.
+    return SegmentStore.open(store_dir).generation
 
 
 def kill_mid_save(store_dir: Path, seed: int) -> None:

@@ -24,8 +24,8 @@ budget whole.
 **Pruning** — a host+time restricted gather must skip segments via the
 zone maps (scan counters assert it) and agree with an unpruned scan.
 
-The store manifest and a metrics JSONL land in ``--artifacts`` for CI
-upload.
+The opened store catalog (``catalog.json``) and a metrics JSONL land
+in ``--artifacts`` for CI upload.
 
 Usage:  python scripts/check_storage.py --artifacts storage-artifacts/
 """
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from repro.flows.metrics import (  # noqa: E402
     extract_features_sharded,
     shard_count,
 )
-from repro.storage import MANIFEST_NAME, SegmentStore, StoreView  # noqa: E402
+from repro.storage import SegmentStore, StoreView  # noqa: E402
 
 SEGMENT_ROWS = 2_000
 
@@ -168,11 +167,20 @@ def main() -> int:
             with phase("zone-map pruning"):
                 check_pruning(store_dir)
 
-            shutil.copy(store_dir / MANIFEST_NAME, artifacts / MANIFEST_NAME)
-            manifest = json.loads((store_dir / MANIFEST_NAME).read_text())
+            # The opened catalog, not manifest.json: appends commit by
+            # renaming their segment and leave the snapshot behind.
+            store = SegmentStore.open(store_dir)
+            catalog = {
+                "generation": store.generation,
+                "total_rows": store.total_rows,
+                "segments": [meta.to_json() for meta in store.metas],
+            }
+            (artifacts / "catalog.json").write_text(
+                json.dumps(catalog, indent=2, sort_keys=True) + "\n"
+            )
             print(
-                f"manifest artifact: {len(manifest['segments'])} segments, "
-                f"generation {manifest['generation']}"
+                f"catalog artifact: {store.n_segments} segments, "
+                f"generation {store.generation}"
             )
     finally:
         sink.write_event(obs.metrics_event())

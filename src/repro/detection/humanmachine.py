@@ -38,6 +38,7 @@ __all__ = [
     "cluster_matrix",
     "host_histograms",
     "kept_at",
+    "log_interstitials",
     "theta_hm",
 ]
 
@@ -72,6 +73,12 @@ class HmClustering:
     kept: Tuple[Tuple[str, ...], ...]
 
 
+def log_interstitials(samples: Sequence[float]) -> np.ndarray:
+    """Interstitial samples in log10-seconds, floored at
+    :data:`_LOG_FLOOR` — θ_hm's log scale, one vectorized call."""
+    return np.log10(np.maximum(np.asarray(samples, dtype=np.float64), _LOG_FLOOR))
+
+
 def host_histograms(
     features: Mapping[str, HostFeatures],
     hosts: Sequence[str],
@@ -99,9 +106,8 @@ def host_histograms(
         samples = bundle.interstitials if bundle is not None else ()
         if len(samples) < min_samples:
             continue
-        samples = np.asarray(samples, dtype=np.float64)
         if log_scale:
-            samples = np.log10(np.maximum(samples, _LOG_FLOOR))
+            samples = log_interstitials(samples)
         histograms[host] = build_histogram(samples)
     return histograms
 

@@ -17,7 +17,7 @@ the Figure 9 headline numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -26,8 +26,12 @@ from ..baselines.failedconn import FailedConnDetector
 from ..baselines.tdg import TdgDetector
 from ..baselines.volume_only import VolumeOnlyDetector
 from ..detection.churn import churn_metric, theta_churn
-from ..detection.humanmachine import MIN_SAMPLES, cluster_matrix, theta_hm
-from ..detection.pipeline import PipelineConfig, find_plotters
+from ..detection.humanmachine import (
+    MIN_SAMPLES,
+    cluster_matrix,
+    log_interstitials,
+    theta_hm,
+)
 from ..detection.reduction import initial_data_reduction
 from ..detection.volume import theta_vol, volume_metric
 from ..stats.emd import pairwise_emd
@@ -112,7 +116,7 @@ def _l1_distance(a: Histogram, b: Histogram) -> float:
     return sum(abs(wa.get(x, 0.0) - wb.get(x, 0.0)) for x in support)
 
 
-def _fixed_bin_histogram(samples: List[float], width: float = 0.25) -> Histogram:
+def _fixed_bin_histogram(samples: Sequence[float], width: float = 0.25) -> Histogram:
     """Fixed-width binning — the evasion-prone alternative to FD."""
     data = np.asarray(samples, dtype=float)
     lo = float(np.floor(data.min() / width) * width)
@@ -134,7 +138,7 @@ def _fixed_bin_histogram(samples: List[float], width: float = 0.25) -> Histogram
 def _hm_selected(
     ctx: ExperimentContext,
     day: int,
-    histogram_builder: Callable[[List[float]], Histogram],
+    histogram_builder: Callable[[Sequence[float]], Histogram],
     distance: Optional[Callable[[Histogram, Histogram], float]] = None,
     log_scale: bool = True,
 ) -> Set[str]:
@@ -150,11 +154,11 @@ def _hm_selected(
     histograms: Dict[str, Histogram] = {}
     for host in union:
         bundle = features.get(host)
-        samples = list(bundle.interstitials) if bundle is not None else []
+        samples = bundle.interstitials if bundle is not None else ()
         if len(samples) < MIN_SAMPLES:
             continue
         if log_scale:
-            samples = [float(np.log10(max(s, 1e-3))) for s in samples]
+            samples = log_interstitials(samples)
         histograms[host] = histogram_builder(samples)
     hosts = sorted(histograms)
     if distance is None:

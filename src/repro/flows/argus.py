@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -95,7 +96,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -185,6 +185,10 @@ _COUNT_COLUMNS = ("src_pkts", "dst_pkts", "src_bytes", "dst_bytes")
 
 #: Lines ``csv.reader`` yields no row for; numpy's reader skips them too.
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+
+#: A ``\r`` that does not end a line (string input is split at ``\n``
+#: only).
+_BARE_CR = re.compile(r"\r(?!\n)")
 
 #: Characters on which ``csv.reader`` and numpy's reader part: the
 #: quote, NUL, and the ASCII information separators, which numpy strips
@@ -385,15 +389,34 @@ class FlowColumns(NamedTuple):
 
     The projection :meth:`SegmentWriter.append
     <repro.storage.writer.SegmentWriter.append>` stores and serve
-    workers consume, one sequence per field; flow ``i`` is element
-    ``i`` of each.
+    workers consume, one array per field: ``src`` and ``dst`` hold
+    ``str`` objects, ``start`` is float64, ``src_bytes`` int64 and
+    ``success`` bool.  Flow ``i`` is element ``i`` of each.
     """
 
-    src: Sequence[str]
-    dst: Sequence[str]
-    start: Sequence[float]
-    src_bytes: Sequence[int]
-    success: Sequence[bool]
+    src: np.ndarray
+    dst: np.ndarray
+    start: np.ndarray
+    src_bytes: np.ndarray
+    success: np.ndarray
+
+    def take(self, index: np.ndarray) -> "FlowColumns":
+        """The rows ``index`` selects (positions or a mask), in its order."""
+        return FlowColumns(*(column[index] for column in self))
+
+    def rows(self) -> List[Tuple[str, str, float, int, bool]]:
+        """The rows as Python-typed tuples, as a serve worker takes them."""
+        return list(zip(*(column.tolist() for column in self)))
+
+
+#: The columns of no rows, in the column dtypes.
+_NO_COLUMNS = FlowColumns(
+    np.empty(0, dtype=object),
+    np.empty(0, dtype=object),
+    np.empty(0, dtype=np.float64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=bool),
+)
 
 
 class _TableBlock(NamedTuple):
@@ -405,13 +428,15 @@ class _TableBlock(NamedTuple):
     payload: List[bytes]
 
     def columns(self) -> FlowColumns:
+        """Views of the table's columns (a consumer that keeps them
+        copies them: a view holds the whole table)."""
         table = self.table
         return FlowColumns(
-            table["src"].tolist(),
-            table["dst"].tolist(),
-            table["start"].tolist(),
-            table["src_bytes"].tolist(),
-            list(map(FlowState.ESTABLISHED.value.__eq__, self.state)),
+            table["src"],
+            table["dst"],
+            table["start"],
+            table["src_bytes"],
+            table["state"] == FlowState.ESTABLISHED.value,
         )
 
     def records(self) -> Iterator[FlowRecord]:
@@ -442,12 +467,15 @@ class _RecordBlock(NamedTuple):
 
     def columns(self) -> FlowColumns:
         flows = self.flows
+        n = len(flows)
         return FlowColumns(
-            [flow.src for flow in flows],
-            [flow.dst for flow in flows],
-            [flow.start for flow in flows],
-            [flow.src_bytes for flow in flows],
-            [flow.state is FlowState.ESTABLISHED for flow in flows],
+            np.array([flow.src for flow in flows], dtype=object),
+            np.array([flow.dst for flow in flows], dtype=object),
+            np.fromiter((flow.start for flow in flows), np.float64, n),
+            np.fromiter((flow.src_bytes for flow in flows), np.int64, n),
+            np.fromiter(
+                (flow.state is FlowState.ESTABLISHED for flow in flows), bool, n
+            ),
         )
 
     def records(self) -> Iterator[FlowRecord]:
@@ -523,7 +551,7 @@ def _screened(lines: List[str], bare_cr: bool, field_limit: int) -> bool:
     text = "".join(lines)
     return (
         not any(map(text.__contains__, _UNSCREENED))
-        and not (bare_cr and text.count("\r") != text.count("\r\n"))
+        and not (bare_cr and "\r" in text and _BARE_CR.search(text))
         and (
             len(text) <= field_limit
             or max(map(len, lines)) <= field_limit
@@ -794,13 +822,13 @@ def loads_columns(
     :func:`loads_report`; only no record is built.  This is the serve
     coordinator's ingest decode.
     """
-    columns = FlowColumns([], [], [], [], [])
     with _ingest("<string>", errors, None) as (report, sink):
-        for block in _string_blocks(text, errors, report, sink):
-            for column, values in zip(columns, block.columns()):
-                column.extend(values)
-    order = np.argsort(np.array(columns.start), kind="stable").tolist()
-    return FlowColumns(*(list(map(c.__getitem__, order)) for c in columns)), report
+        parts = [
+            block.columns()
+            for block in _string_blocks(text, errors, report, sink)
+        ]
+    columns = FlowColumns(*map(np.concatenate, zip(_NO_COLUMNS, *parts)))
+    return columns.take(np.argsort(columns.start, kind="stable")), report
 
 
 def _string_blocks(

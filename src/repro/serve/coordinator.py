@@ -66,9 +66,10 @@ import queue as queue_mod
 import threading
 import time
 from collections import defaultdict
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..detection.pipeline import PipelineResult, find_plotters
 from ..flows.argus import FlowColumns, loads_columns
@@ -770,7 +771,7 @@ class ServeCoordinator:
             for shard, part in self._by_shard(columns):
                 self._writers[shard].append_columns(*part)
                 self._hosts_per_shard[shard].update(part.src)
-                batches[shard] = list(zip(*part))
+                batches[shard] = part.rows()
             reply: Dict[str, object] = {
                 "rows_ok": rows_ok,
                 "rows_bad": report.rows_bad,
@@ -828,16 +829,15 @@ class ServeCoordinator:
         """
         shard_of = {
             host: self.shard_map.shard_of(host)
-            for host in dict.fromkeys(columns.src)
+            for host in dict.fromkeys(columns.src.tolist())
         }
-        shards = list(map(shard_of.__getitem__, columns.src))
-        parts = []
-        for shard in dict.fromkeys(shards):
-            keep = list(map(shard.__eq__, shards))
-            parts.append(
-                (shard, FlowColumns(*(list(compress(c, keep)) for c in columns)))
-            )
-        return parts
+        shards = np.fromiter(
+            map(shard_of.__getitem__, columns.src), np.int64, len(columns.src)
+        )
+        return [
+            (shard, columns.take(shards == shard))
+            for shard in dict.fromkeys(shard_of.values())
+        ]
 
     # ------------------------------------------------------------------
     # Live verdicts

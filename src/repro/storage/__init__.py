@@ -15,9 +15,10 @@ Layers, bottom up:
   :class:`TornSegmentError`, :class:`StorageBudgetError`);
 * :mod:`~repro.storage.writer` — :class:`SegmentWriter`, buffering
   rows and cutting segments on row/byte thresholds;
-* :mod:`~repro.storage.store` — :class:`SegmentStore`, the
-  manifest-backed catalog with zone-map pruned gathers and compaction,
-  and :class:`StoreChain`, a read-only catalog over several stores;
+* :mod:`~repro.storage.store` — :class:`SegmentStore`, the catalog
+  (a snapshot plus the segments committed by rename after it) with
+  zone-map pruned gathers and compaction, and :class:`StoreChain`, a
+  read-only catalog over several stores;
 * :mod:`~repro.storage.view` — :class:`StoreView`, the
   FlowStore-shaped facade the pipeline and the feature extractor consume;
 * :mod:`~repro.storage.spool` — :func:`spool_flow_store`, spilling an

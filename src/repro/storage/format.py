@@ -51,6 +51,7 @@ load.
 from __future__ import annotations
 
 import json
+import mmap
 import struct
 import zlib
 from dataclasses import dataclass
@@ -325,25 +326,30 @@ def read_footer(path: Union[str, Path]) -> Dict[str, object]:
 
 
 class Segment:
-    """One opened segment: validated footer plus lazily mmap'd columns.
+    """One opened segment: validated footer plus lazily mapped columns.
 
-    Column accessors return read-only :class:`numpy.memmap` views — the
-    OS pages in only the bytes a kernel actually touches, and forked
-    worker processes share the pages instead of copying them.
+    The file is mapped once, read-only, on the first column read, and
+    each column is a read-only :func:`numpy.frombuffer` view into that
+    mapping — the OS pages in only the bytes a kernel actually touches,
+    forked worker processes share the pages instead of copying them,
+    and masked reads are plain ndarray indexing.  Of the parsed footer
+    it keeps the string tables, the zone maps as arrays and the column
+    layout, not the footer's lists of Python numbers.
     """
 
     def __init__(self, path: Path, footer: Dict[str, object]) -> None:
         self.path = path
-        self.footer = footer
         self.rows: int = int(footer["rows"])
         self.t_min: float = float(footer["t_min"])
         self.t_max: float = float(footer["t_max"])
-        self.hosts: List[str] = list(footer["hosts"])
-        self.dsts: List[str] = list(footer["dsts"])
+        self.hosts: List[str] = footer["hosts"]
+        self.dsts: List[str] = footer["dsts"]
         self.host_rows = np.asarray(footer["host_rows"], dtype=np.int64)
         self.host_t_min = np.asarray(footer["host_t_min"], dtype=np.float64)
         self.host_t_max = np.asarray(footer["host_t_max"], dtype=np.float64)
+        self._layout: Dict[str, Dict[str, object]] = footer["columns"]
         self._host_index: Optional[Dict[str, int]] = None
+        self._mapping: Optional[mmap.mmap] = None
         self._columns: Dict[str, np.ndarray] = {}
 
     @property
@@ -354,16 +360,20 @@ class Segment:
         return self._host_index
 
     def column(self, name: str) -> np.ndarray:
-        """The named column as a read-only memory map."""
+        """The named column as a read-only view of the file's mapping."""
         cached = self._columns.get(name)
         if cached is None:
-            spec = self.footer["columns"][name]
-            cached = np.memmap(
-                self.path,
+            if self._mapping is None:
+                with open(self.path, "rb") as fh:
+                    self._mapping = mmap.mmap(
+                        fh.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+            spec = self._layout[name]
+            cached = np.frombuffer(
+                self._mapping,
                 dtype=np.dtype(spec["dtype"]),
-                mode="r",
+                count=int(spec["rows"]),
                 offset=int(spec["offset"]),
-                shape=(int(spec["rows"]),),
             )
             self._columns[name] = cached
         return cached

@@ -86,7 +86,7 @@ def spool_flow_store(
             existing = None
         if (
             existing is not None
-            and existing._manifest.get("source") == key
+            and existing.source == key
             and existing.total_rows == len(store)
         ):
             logger.info(
@@ -103,8 +103,7 @@ def spool_flow_store(
     with target.writer(segment_rows=segment_rows) as writer:
         for flow in store:
             writer.add(flow)
-    target._manifest["source"] = key
-    target._save_manifest()
+    target.set_source(key)
     logger.info(
         "spooled %d rows into %d segment(s) at %s",
         len(store),

@@ -1,23 +1,30 @@
-"""The manifest-backed segment catalog: pruned, mmap'd, compactable.
+"""The segment catalog: pruned, mmap'd, compactable.
 
-:class:`SegmentStore` owns one directory of segment files plus a
-``manifest.json`` that orders them.  The manifest is the unit of
-atomicity: segments are written first (themselves atomic), then the
-manifest is atomically swapped, so a crash at any point leaves either
-the old catalog or the new one — never a catalog pointing at a
-half-written segment.  The ``generation`` counter bumps on every
-catalog change; readers key caches on it exactly as engines key on
-:attr:`repro.flows.store.FlowStore.version`.
+:class:`SegmentStore` owns one directory of segment files.  A
+segment's atomic rename into place is its commit: segments are named
+``seg-<id>`` in the order they are appended, and each lands complete
+or not at all (:func:`~repro.resilience.io.atomic_write`).  The
+catalog is a **snapshot** (``manifest.json``, which orders the
+segments it lists) plus the unbroken run of ``seg-<next_id>``,
+``seg-<next_id + 1>``, … files committed after it.  An append writes
+its segment and nothing else; the snapshot is rewritten only when the
+catalog changes shape (create, compaction, truncation, repair, a
+spool's source key), so the cost of a commit does not grow with the
+store.  A crash at any point leaves either the old catalog or the new
+one — never a catalog holding a half-written segment.  The
+``generation`` counter bumps on every catalog change (the snapshot's
+generation plus one per segment in the run); readers key caches on it
+exactly as engines key on :attr:`repro.flows.store.FlowStore.version`.
 
 Reading is a **gather**: callers name the hosts (and optionally the
 time range) they need and the store scans only the segments whose
-zone maps could contain matching rows, memory-maps just the needed
-columns, and assembles host-grouped, start-ordered arrays with the
-same ordering contract as :meth:`repro.flows.store.FlowStore.columnar`
-— stable sort by start time, arrival order breaking ties — so every
-downstream kernel is bit-identical to the in-memory plane.
-:class:`StoreChain` gathers over several stores' segments in turn, as
-if they were one store's.
+zone maps could contain matching rows, reads just the needed columns
+from each segment's mapping, and assembles host-grouped, start-ordered
+arrays with the same ordering contract as
+:meth:`repro.flows.store.FlowStore.columnar` — stable sort by start
+time, arrival order breaking ties — so every downstream kernel is
+bit-identical to the in-memory plane.  :class:`StoreChain` gathers
+over several stores' segments in turn, as if they were one store's.
 
 Compaction merges runs of small segments (ingest tails, per-window
 spools) into fewer larger ones, preserving row order; it rewrites data
@@ -28,7 +35,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -49,7 +58,6 @@ from ..obs.logconf import get_logger
 from ..resilience import faults
 from ..resilience.io import atomic_write
 from .format import (
-    FORMAT_VERSION,
     SEGMENT_SUFFIX,
     Segment,
     SegmentMeta,
@@ -60,13 +68,14 @@ from .format import (
     open_segment,
     write_segment,
 )
+from .writer import SegmentWriter, _Codes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .view import StoreView
-    from .writer import SegmentWriter
 
 __all__ = [
     "MANIFEST_NAME",
+    "MANIFEST_VERSION",
     "Gathered",
     "SegmentStore",
     "StoreChain",
@@ -74,6 +83,18 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "repro-segment-store"
+
+#: Version of the catalog snapshot, kept apart from the segment
+#: :data:`~repro.storage.format.FORMAT_VERSION` so segment bytes do not
+#: change with it.  A version-2 snapshot may be followed by segments it
+#: does not list, so a build that reads only version 1 refuses it
+#: instead of reading the snapshot alone.
+MANIFEST_VERSION = 2
+#: A version-1 manifest (written before the rename commit) lists every
+#: segment: the run after it is empty, and it reads unchanged.
+_READABLE_VERSIONS = (1, MANIFEST_VERSION)
+
+_SEGMENT_NAME = re.compile(r"seg-(\d{6,})" + re.escape(SEGMENT_SUFFIX))
 
 logger = get_logger("storage.store")
 
@@ -117,6 +138,38 @@ _ROWS_GAUGE = obs_metrics.gauge(
 )
 
 
+def _segment_name(segment_id: int) -> str:
+    return f"seg-{segment_id:06d}{SEGMENT_SUFFIX}"
+
+
+def _run_after(directory: Path, next_id: int) -> List[str]:
+    """The segments committed after a snapshot, in commit order.
+
+    Appends take ids in order and commit by rename alone, so these are
+    the ``seg-<next_id>…`` files, unbroken.  A file below ``next_id``
+    that the snapshot does not list is inert: an id a compaction
+    reserved and never catalogued, or a segment whose unlink failed
+    after truncation.  ``*.tmp`` files never match.  A gap — a later
+    segment present, an earlier one gone — means a committed segment
+    is lost, and raises as a missing catalogued segment does.
+    """
+    ids = []
+    for name in os.listdir(directory):
+        match = _SEGMENT_NAME.fullmatch(name)
+        if match is not None:
+            segment_id = int(match.group(1))
+            if segment_id >= next_id and name == _segment_name(segment_id):
+                ids.append(segment_id)
+    ids.sort()
+    for expected, found in zip(range(next_id, next_id + len(ids)), ids):
+        if found != expected:
+            raise StorageError(
+                f"{directory / _segment_name(expected)}: committed segment "
+                f"is missing, but {_segment_name(found)} after it is present"
+            )
+    return [_segment_name(segment_id) for segment_id in ids]
+
+
 @dataclass(frozen=True)
 class Gathered:
     """Host-grouped, start-ordered columns assembled by one gather.
@@ -126,11 +179,11 @@ class Gathered:
     ``hosts[i]`` owns ``counts[i]`` consecutive rows, rows within a
     host ascend by start time with arrival order breaking ties.
     ``success`` is int64 (not the on-disk uint8) so downstream
-    reductions cannot overflow; ``dst_codes`` are store-global dense
-    codes — any bijection yields identical features, and
-    :meth:`repro.storage.view.StoreView.columnar` recodes them to the
-    in-memory plane's first-appearance order when exact snapshot
-    equality matters.
+    reductions cannot overflow; ``dst_codes`` index the reader's
+    destination table ``dsts`` — any bijection yields identical
+    features, and :meth:`repro.storage.view.StoreView.columnar` recodes
+    them to the in-memory plane's first-appearance order when exact
+    snapshot equality matters.
 
     The scan counters record how selective the zone maps were; tests
     and the benchmark assert pruning through them.
@@ -171,6 +224,49 @@ def _empty_gather(pruned_host: int = 0, pruned_time: int = 0) -> Gathered:
     )
 
 
+class _CodeTables:
+    """One reader's host and destination tables for one catalog
+    generation, and each read segment's string tables coded in them.
+
+    A segment's strings are looked up once, by the first gather that
+    reads it, not once per gather (feature extraction gathers once per
+    shard).  Between gathers the tables are only the code arrays and
+    the names in code order; the lookup dictionaries live while new
+    segments are being coded.
+    """
+
+    def __init__(self, generation: int) -> None:
+        self.generation = generation
+        self.host_names: List[str] = []
+        self.dst_names: List[str] = []
+        self._by_segment: Dict[Path, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def codes(
+        self, segments: Sequence[Segment]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Each segment's (host codes, destination codes)."""
+        new = [s for s in segments if s.path not in self._by_segment]
+        if new:
+            hosts = _Codes(zip(self.host_names, count()))
+            dsts = _Codes(zip(self.dst_names, count()))
+            for segment in new:
+                self._by_segment[segment.path] = (
+                    np.fromiter(
+                        map(hosts.__getitem__, segment.hosts),
+                        np.int64,
+                        len(segment.hosts),
+                    ),
+                    np.fromiter(
+                        map(dsts.__getitem__, segment.dsts),
+                        np.int64,
+                        len(segment.dsts),
+                    ),
+                )
+            self.host_names = list(hosts)
+            self.dst_names = list(dsts)
+        return [self._by_segment[segment.path] for segment in segments]
+
+
 class _SegmentReads:
     """Zone-map counts and pruned gathers over an ordered segment run.
 
@@ -180,8 +276,20 @@ class _SegmentReads:
     gather over the concatenated catalogs.
     """
 
+    _code_tables: Optional[_CodeTables] = None
+
+    @property
+    def generation(self) -> int:  # pragma: no cover - abstract
+        raise NotImplementedError
+
     def segments(self) -> List[Segment]:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _tables(self) -> _CodeTables:
+        tables = self._code_tables
+        if tables is None or tables.generation != self.generation:
+            tables = self._code_tables = _CodeTables(self.generation)
+        return tables
 
     def host_counts(
         self, t0: Optional[float] = None, t1: Optional[float] = None
@@ -246,22 +354,35 @@ class _SegmentReads:
             wanted = frozenset(hosts)
             if not wanted:
                 return _empty_gather()
+        # A segment whose time range misses the window is skipped whole;
+        # each other one's wanted hosts are read off its own host table.
+        in_window = [
+            not prune
+            or not (
+                (t0 is not None and segment.t_max < t0)
+                or (t1 is not None and segment.t_min >= t1)
+            )
+            for segment in segments
+        ]
+        keeps: List[Optional[np.ndarray]] = [
+            None
+            if wanted is None or not inside
+            else np.fromiter(
+                map(wanted.__contains__, segment.hosts),
+                bool,
+                len(segment.hosts),
+            )
+            for segment, inside in zip(segments, in_window)
+        ]
 
         # Budget pre-check from zone maps alone: exact when there is no
         # time restriction, skipped (in favour of the exact running
         # check below) when there is.
         if max_rows is not None and t0 is None and t1 is None:
-            estimate = 0
-            for segment in segments:
-                if wanted is None:
-                    estimate += segment.rows
-                else:
-                    index = segment.host_index
-                    estimate += sum(
-                        int(segment.host_rows[index[h]])
-                        for h in wanted
-                        if h in index
-                    )
+            estimate = sum(
+                segment.rows if keep is None else int(segment.host_rows[keep].sum())
+                for segment, keep in zip(segments, keeps)
+            )
             if estimate > max_rows:
                 raise StorageBudgetError(
                     f"gather would materialise {estimate} rows, over the "
@@ -270,72 +391,39 @@ class _SegmentReads:
 
         pruned_host = 0
         pruned_time = 0
+        read: List[Tuple[Segment, Optional[np.ndarray]]] = []
+        for segment, inside, keep in zip(segments, in_window, keeps):
+            if not inside:
+                pruned_time += 1
+                _SCANS.inc(result="pruned-time")
+                continue
+            if prune and keep is not None:
+                # Per-host time zone maps: a segment overlapping the
+                # window may still hold none of *these* hosts' rows
+                # inside it.
+                live = keep
+                if t0 is not None:
+                    live = live & (segment.host_t_max >= t0)
+                if t1 is not None:
+                    live = live & (segment.host_t_min < t1)
+                if not live.any():
+                    pruned_host += 1
+                    _SCANS.inc(result="pruned-host")
+                    continue
+            _SCANS.inc(result="read")
+            read.append((segment, keep))
+
+        tables = self._tables()
+        codes = tables.codes([segment for segment, _ in read])
         rows_total = 0
         chunk_host: List[np.ndarray] = []
         chunk_starts: List[np.ndarray] = []
         chunk_bytes: List[np.ndarray] = []
         chunk_success: List[np.ndarray] = []
         chunk_dst: List[np.ndarray] = []
-        global_hosts: Dict[str, int] = {}
-        global_dsts: Dict[str, int] = {}
-
-        for segment in segments:
-            if prune:
-                if (t0 is not None and segment.t_max < t0) or (
-                    t1 is not None and segment.t_min >= t1
-                ):
-                    pruned_time += 1
-                    _SCANS.inc(result="pruned-time")
-                    continue
-                if wanted is not None:
-                    index = segment.host_index
-                    present = [h for h in wanted if h in index]
-                    if not present:
-                        pruned_host += 1
-                        _SCANS.inc(result="pruned-host")
-                        continue
-                    if t0 is not None or t1 is not None:
-                        # Per-host time zone maps: a segment overlapping
-                        # the window may still hold none of *these*
-                        # hosts' rows inside it.
-                        live = [
-                            h
-                            for h in present
-                            if not (
-                                (
-                                    t0 is not None
-                                    and segment.host_t_max[index[h]] < t0
-                                )
-                                or (
-                                    t1 is not None
-                                    and segment.host_t_min[index[h]] >= t1
-                                )
-                            )
-                        ]
-                        if not live:
-                            pruned_host += 1
-                            _SCANS.inc(result="pruned-host")
-                            continue
-            _SCANS.inc(result="read")
-
+        for (segment, keep), (host_codes, dst_codes) in zip(read, codes):
             src_codes = segment.src_codes
-            if wanted is None:
-                remap = np.empty(len(segment.hosts), dtype=np.int64)
-                for local, host in enumerate(segment.hosts):
-                    remap[local] = global_hosts.setdefault(
-                        host, len(global_hosts)
-                    )
-                mask = None
-            else:
-                remap = np.full(len(segment.hosts), -1, dtype=np.int64)
-                index = segment.host_index
-                for host in wanted:
-                    local = index.get(host)
-                    if local is not None:
-                        remap[local] = global_hosts.setdefault(
-                            host, len(global_hosts)
-                        )
-                mask = remap[src_codes] >= 0
+            mask = None if keep is None else keep[src_codes]
             if t0 is not None or t1 is not None:
                 starts_col = segment.starts
                 tmask = np.ones(segment.rows, dtype=bool)
@@ -344,31 +432,20 @@ class _SegmentReads:
                 if t1 is not None:
                     tmask &= starts_col < t1
                 mask = tmask if mask is None else (mask & tmask)
-            if mask is not None and not mask.any():
-                continue
-
-            dst_remap = np.empty(len(segment.dsts), dtype=np.int64)
-            for local, dst in enumerate(segment.dsts):
-                dst_remap[local] = global_dsts.setdefault(
-                    dst, len(global_dsts)
-                )
-
             if mask is None:
-                seg_host = remap[src_codes]
-                seg_starts = np.asarray(segment.starts, dtype=np.float64)
-                seg_bytes = np.asarray(segment.src_bytes, dtype=np.int64)
+                seg_host = host_codes[src_codes]
+                seg_starts = segment.starts
+                seg_bytes = segment.src_bytes
                 seg_success = segment.success.astype(np.int64)
-                seg_dst = dst_remap[segment.dst_codes]
+                seg_dst = dst_codes[segment.dst_codes]
+            elif not mask.any():
+                continue
             else:
-                seg_host = remap[src_codes[mask]]
-                seg_starts = np.asarray(
-                    segment.starts[mask], dtype=np.float64
-                )
-                seg_bytes = np.asarray(
-                    segment.src_bytes[mask], dtype=np.int64
-                )
+                seg_host = host_codes[src_codes[mask]]
+                seg_starts = segment.starts[mask]
+                seg_bytes = segment.src_bytes[mask]
                 seg_success = segment.success[mask].astype(np.int64)
-                seg_dst = dst_remap[segment.dst_codes[mask]]
+                seg_dst = dst_codes[segment.dst_codes[mask]]
             rows_total += len(seg_starts)
             if max_rows is not None and rows_total > max_rows:
                 raise StorageBudgetError(
@@ -391,13 +468,18 @@ class _SegmentReads:
         success_arr = np.concatenate(chunk_success)
         dst_arr = np.concatenate(chunk_dst)
 
-        # Present hosts in sorted order, renumbered densely.  The codes
-        # in ``host_idx`` are first-appearance order; translate them to
-        # sorted order before grouping.
-        ordered_hosts = sorted(global_hosts)
-        translate = np.empty(len(global_hosts), dtype=np.int64)
-        for rank, host in enumerate(ordered_hosts):
-            translate[global_hosts[host]] = rank
+        # Present hosts in sorted order, renumbered densely: the codes
+        # in ``host_idx`` index the reader's table in first-seen order.
+        names = tables.host_names
+        per_code = np.bincount(host_idx, minlength=len(names))
+        present = np.flatnonzero(per_code)
+        present_names = [names[code] for code in present.tolist()]
+        by_name = np.array(
+            sorted(range(len(present_names)), key=present_names.__getitem__),
+            dtype=np.int64,
+        )
+        translate = np.empty(len(names), dtype=np.int64)
+        translate[present[by_name]] = np.arange(len(by_name), dtype=np.int64)
         host_idx = translate[host_idx]
 
         # The in-memory plane's ordering contract, reproduced: a single
@@ -407,37 +489,73 @@ class _SegmentReads:
         order = np.argsort(starts_arr, kind="stable")
         order = order[np.argsort(host_idx[order], kind="stable")]
 
-        host_idx = host_idx[order]
-        counts = np.bincount(host_idx, minlength=len(ordered_hosts)).astype(
-            np.int64
-        )
-        present = counts > 0
-        kept_hosts = tuple(
-            h for h, keep in zip(ordered_hosts, present) if keep
-        )
-        counts = counts[present]
-
         return Gathered(
-            hosts=kept_hosts,
-            counts=counts,
+            hosts=tuple(present_names[i] for i in by_name.tolist()),
+            counts=per_code[present[by_name]].astype(np.int64),
             starts=starts_arr[order],
             src_bytes=bytes_arr[order],
             success=success_arr[order],
             dst_codes=dst_arr[order],
-            n_destinations=len(global_dsts),
-            dsts=tuple(global_dsts),
+            n_destinations=len(tables.dst_names),
+            dsts=tuple(tables.dst_names),
             segments_read=len(chunk_starts),
             segments_pruned_host=pruned_host,
             segments_pruned_time=pruned_time,
         )
 
 
-class SegmentStore(_SegmentReads):
-    """One directory of segments plus the manifest ordering them."""
+def _read_snapshot(directory: Path) -> Dict[str, object]:
+    """The catalog snapshot at ``directory``, validated."""
+    manifest_path = directory / MANIFEST_NAME
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+    except FileNotFoundError:
+        raise StorageError(
+            f"{directory}: not a segment store (no {MANIFEST_NAME})"
+        ) from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise StorageError(
+            f"{manifest_path}: cannot read store manifest: {exc}"
+        ) from exc
+    if (
+        not isinstance(snapshot, dict)
+        or snapshot.get("format") != _MANIFEST_FORMAT
+    ):
+        raise StorageError(f"{manifest_path}: not a segment-store manifest")
+    if snapshot.get("version") not in _READABLE_VERSIONS:
+        raise StorageVersionError(
+            f"{manifest_path}: store format version "
+            f"{snapshot.get('version')!r} is not supported (this build "
+            f"reads versions {', '.join(map(str, _READABLE_VERSIONS))})"
+        )
+    return snapshot
 
-    def __init__(self, directory: Union[str, Path], manifest: Dict[str, object]):
+
+class SegmentStore(_SegmentReads):
+    """One directory of segments: a catalog snapshot and the run of
+    segments committed after it.
+
+    The parsed catalog lives in memory, so :attr:`metas`,
+    :meth:`segments` and :attr:`total_rows` cost nothing per entry.
+    """
+
+    def __init__(
+        self, directory: Union[str, Path], snapshot: Dict[str, object]
+    ) -> None:
         self.directory = Path(directory)
-        self._manifest = manifest
+        self._metas: List[SegmentMeta] = [
+            SegmentMeta.from_json(entry) for entry in snapshot["segments"]
+        ]
+        self._total_rows = sum(meta.rows for meta in self._metas)
+        self._generation = int(snapshot["generation"])
+        self._next_id = int(snapshot["next_id"])
+        #: Version of the snapshot on disk: the first append rewrites
+        #: an older one, so no older build reads this store partially.
+        self._snapshot_version = snapshot["version"]
+        #: What the store was spooled from (:func:`spool_flow_store`
+        #: keys reuse on it); ``None`` for any other store.
+        self.source: Optional[Dict[str, object]] = snapshot.get("source")
         self._segments: Dict[str, Segment] = {}
         self._commit_hooks: List[
             Callable[["SegmentStore", str, List[SegmentMeta]], None]
@@ -450,131 +568,108 @@ class SegmentStore(_SegmentReads):
     def create(
         cls, directory: Union[str, Path], *, exist_ok: bool = False
     ) -> "SegmentStore":
-        """Initialise a fresh store directory (atomically manifested).
+        """Initialise a fresh store directory (an empty snapshot).
 
         With ``exist_ok`` an existing store is opened instead — the
         spill/spool paths use this to append across runs.
         """
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if manifest_path.exists():
+        if (directory / MANIFEST_NAME).exists():
             if exist_ok:
                 return cls.open(directory)
             raise StorageError(f"{directory}: segment store already exists")
         directory.mkdir(parents=True, exist_ok=True)
-        manifest: Dict[str, object] = {
-            "format": _MANIFEST_FORMAT,
-            "version": FORMAT_VERSION,
-            "generation": 0,
-            "next_id": 0,
-            "segments": [],
-        }
-        store = cls(directory, manifest)
-        store._save_manifest()
+        store = cls(
+            directory,
+            {
+                "version": MANIFEST_VERSION,
+                "generation": 0,
+                "next_id": 0,
+                "segments": [],
+            },
+        )
+        store._save_snapshot()
         return store
 
     @classmethod
     def open(
         cls, directory: Union[str, Path], *, repair: bool = False
     ) -> "SegmentStore":
-        """Open an existing store, validating manifest and segments.
+        """Open an existing store: its snapshot, then the run after it.
 
-        Every segment footer is validated up front (magic, version,
-        CRC, declared sizes), so format drift or torn files surface
-        here as :class:`StorageVersionError` / :class:`TornSegmentError`
-        — not as a numpy shape error five stages later.  With
-        ``repair=True`` torn segments are dropped from the catalog
-        (logged, counted in ``repro_storage_torn_segments_total``)
-        instead of failing the open; version errors are never
-        repaired away.
+        Every segment footer — catalogued or in the run — is validated
+        up front (magic, version, CRC, declared sizes), so format drift
+        or torn files surface here as :class:`StorageVersionError` /
+        :class:`TornSegmentError` — not as a numpy shape error five
+        stages later.  With ``repair=True`` torn segments are dropped
+        from the catalog (logged, counted in
+        ``repro_storage_torn_segments_total``, and a new snapshot
+        written) instead of failing the open; version errors and
+        missing segments are never repaired away.
         """
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError:
-            raise StorageError(
-                f"{directory}: not a segment store (no {MANIFEST_NAME})"
-            ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StorageError(
-                f"{manifest_path}: cannot read store manifest: {exc}"
-            ) from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != _MANIFEST_FORMAT
-        ):
-            raise StorageError(
-                f"{manifest_path}: not a segment-store manifest"
-            )
-        if manifest.get("version") != FORMAT_VERSION:
-            raise StorageVersionError(
-                f"{manifest_path}: store format version "
-                f"{manifest.get('version')!r} is not supported (this build "
-                f"reads version {FORMAT_VERSION})"
-            )
-        store = cls(directory, manifest)
-        healthy: List[Dict[str, object]] = []
+        store = cls(directory, _read_snapshot(directory))
+        run = _run_after(directory, store._next_id)
+        store._next_id += len(run)
+        store._generation += len(run)
+        catalog: List[Tuple[str, Optional[SegmentMeta]]] = [
+            (meta.name, meta) for meta in store._metas
+        ] + [(name, None) for name in run]
+        healthy: List[SegmentMeta] = []
         dropped = 0
-        for entry in store._manifest["segments"]:
-            meta = SegmentMeta.from_json(entry)
+        for name, meta in catalog:
             try:
-                store._segment(meta.name)
+                segment = store._segment(name)
             except TornSegmentError as exc:
                 _TORN.inc()
                 if not repair:
                     raise
                 dropped += 1
-                logger.warning(
-                    "dropping torn segment from catalog: %s", exc
-                )
+                logger.warning("dropping torn segment from catalog: %s", exc)
                 continue
-            healthy.append(entry)
+            healthy.append(segment.meta() if meta is None else meta)
+        store._metas = healthy
+        store._total_rows = sum(meta.rows for meta in healthy)
         if dropped:
-            store._manifest["segments"] = healthy
-            store._bump_generation()
-            store._save_manifest()
+            store._generation += 1
+            store._save_snapshot()
             store._fire_commit_hooks("repair", [])
         store._set_gauges()
         return store
 
     # ------------------------------------------------------------------
-    # Manifest plumbing
+    # Catalog
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
         """Catalog mutation counter (cache key for readers/pools)."""
-        return int(self._manifest["generation"])
+        return self._generation
 
     @property
     def metas(self) -> List[SegmentMeta]:
-        """Catalog entries in arrival (manifest) order."""
-        return [
-            SegmentMeta.from_json(entry)
-            for entry in self._manifest["segments"]
-        ]
+        """Catalog entries in arrival order."""
+        return list(self._metas)
 
     @property
     def n_segments(self) -> int:
-        return len(self._manifest["segments"])
+        return len(self._metas)
 
     @property
     def total_rows(self) -> int:
-        return sum(int(entry["rows"]) for entry in self._manifest["segments"])
+        return self._total_rows
 
     @property
     def t_min(self) -> float:
-        metas = self.metas
-        return min((m.t_min for m in metas), default=0.0)
+        return min((m.t_min for m in self._metas), default=0.0)
 
     @property
     def t_max(self) -> float:
-        metas = self.metas
-        return max((m.t_max for m in metas), default=0.0)
+        return max((m.t_max for m in self._metas), default=0.0)
 
-    def _bump_generation(self) -> None:
-        self._manifest["generation"] = self.generation + 1
+    def set_source(self, source: Dict[str, object]) -> None:
+        """Record what this store was spooled from, in a new snapshot."""
+        self.source = source
+        self._save_snapshot()
 
     # ------------------------------------------------------------------
     # Commit hooks (the query plane's index-maintenance seam)
@@ -585,8 +680,9 @@ class SegmentStore(_SegmentReads):
     ) -> None:
         """Register ``hook(store, event, new_metas)`` on catalog commits.
 
-        Fired *after* the manifest is atomically saved, with ``event``
-        one of ``"append"`` (``new_metas`` holds the one new segment),
+        Fired *after* the commit is durable — the segment's rename for
+        an append, the snapshot otherwise — with ``event`` one of
+        ``"append"`` (``new_metas`` holds the one new segment),
         ``"compact"``, ``"truncate"`` or ``"repair"`` (``new_metas``
         empty — the catalog changed shape and incremental maintenance
         is not possible).  Hooks maintain *derived* state (secondary
@@ -617,10 +713,22 @@ class SegmentStore(_SegmentReads):
                     self.directory,
                 )
 
-    def _save_manifest(self) -> None:
+    def _save_snapshot(self) -> None:
+        """Atomically replace ``manifest.json`` with the catalog as it
+        stands: every segment, and ``next_id`` past each id in use."""
         faults.io_point("store-manifest")
+        snapshot: Dict[str, object] = {
+            "format": _MANIFEST_FORMAT,
+            "version": MANIFEST_VERSION,
+            "generation": self._generation,
+            "next_id": self._next_id,
+            "segments": [meta.to_json() for meta in self._metas],
+        }
+        if self.source is not None:
+            snapshot["source"] = self.source
         with atomic_write(self.directory / MANIFEST_NAME, "w") as fh:
-            fh.write(json.dumps(self._manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        self._snapshot_version = MANIFEST_VERSION
 
     def _set_gauges(self) -> None:
         if obs_metrics.is_enabled():
@@ -636,7 +744,7 @@ class SegmentStore(_SegmentReads):
 
     def segments(self) -> List[Segment]:
         """All catalogued segments, opened, in arrival order."""
-        return [self._segment(m.name) for m in self.metas]
+        return [self._segment(meta.name) for meta in self._metas]
 
     # ------------------------------------------------------------------
     # Writing
@@ -652,15 +760,17 @@ class SegmentStore(_SegmentReads):
         hosts: Sequence[str],
         dsts: Sequence[str],
     ) -> SegmentMeta:
-        """Write one segment file and commit it to the catalog.
+        """Write one segment file; its atomic rename commits it.
 
         Rows must continue the store's arrival order — appends are how
-        arrival order is *defined* across segments.
+        arrival order is *defined* across segments.  The snapshot is
+        not rewritten (unless an older build wrote it), so a commit
+        costs the same in a store of any size.
         """
-        next_id = int(self._manifest["next_id"])
-        name = f"seg-{next_id:06d}{SEGMENT_SUFFIX}"
+        if self._snapshot_version != MANIFEST_VERSION:
+            self._save_snapshot()
         meta = write_segment(
-            self.directory / name,
+            self.directory / _segment_name(self._next_id),
             starts=starts,
             src_bytes=src_bytes,
             success=success,
@@ -669,10 +779,10 @@ class SegmentStore(_SegmentReads):
             hosts=hosts,
             dsts=dsts,
         )
-        self._manifest["next_id"] = next_id + 1
-        self._manifest["segments"].append(meta.to_json())
-        self._bump_generation()
-        self._save_manifest()
+        self._next_id += 1
+        self._metas.append(meta)
+        self._total_rows += meta.rows
+        self._generation += 1
         _SEGMENTS_WRITTEN.inc()
         _ROWS_SPOOLED.inc(meta.rows)
         _BYTES_WRITTEN.inc(meta.file_bytes)
@@ -689,8 +799,9 @@ class SegmentStore(_SegmentReads):
         its journal — whole trailing segments whose commit record never
         landed.  Because every commit is segment-aligned, the excess is
         exactly a suffix of the catalog; this pops that suffix (one
-        atomic manifest swap, then the files are unlinked) and returns
-        the number of rows dropped.
+        snapshot, whose ``next_id`` keeps the dropped ids out of any
+        later run; then the files are unlinked) and returns the number
+        of rows dropped.
 
         Raises :class:`StorageError` if no suffix sums to the excess —
         that means the store was written by something that does not
@@ -708,28 +819,28 @@ class SegmentStore(_SegmentReads):
             )
         if excess == 0:
             return 0
-        entries = list(self._manifest["segments"])
-        dropped: List[Dict[str, object]] = []
+        kept = list(self._metas)
+        dropped: List[SegmentMeta] = []
         remaining = excess
-        while remaining > 0 and entries:
-            entry = entries.pop()
-            dropped.append(entry)
-            remaining -= int(entry["rows"])
+        while remaining > 0 and kept:
+            meta = kept.pop()
+            dropped.append(meta)
+            remaining -= meta.rows
         if remaining != 0:
             raise StorageError(
                 f"{self.directory}: no segment suffix sums to the "
                 f"{excess}-row excess over the journal — refusing to truncate"
             )
-        self._manifest["segments"] = entries
-        self._bump_generation()
-        self._save_manifest()
-        for entry in dropped:
-            name = str(entry["name"])
-            self._segments.pop(name, None)
+        self._metas = kept
+        self._total_rows = expected_rows
+        self._generation += 1
+        self._save_snapshot()
+        for meta in dropped:
+            self._segments.pop(meta.name, None)
             try:
-                os.unlink(self.directory / name)
+                os.unlink(self.directory / meta.name)
             except OSError:
-                pass  # manifest no longer references it; file is orphaned
+                pass  # below next_id and uncatalogued: inert
         self._set_gauges()
         self._fire_commit_hooks("truncate", [])
         logger.warning(
@@ -746,8 +857,8 @@ class SegmentStore(_SegmentReads):
     def hosts(self) -> List[str]:
         """Sorted union of every segment's initiator table."""
         seen: Dict[str, None] = {}
-        for meta in self.metas:
-            for host in self._segment(meta.name).hosts:
+        for segment in self.segments():
+            for host in segment.hosts:
                 seen[host] = None
         return sorted(seen)
 
@@ -761,17 +872,18 @@ class SegmentStore(_SegmentReads):
 
         Adjacent segments with fewer than ``min_rows`` rows are merged
         (preserving arrival order) into segments of up to
-        ``target_rows`` (default ``4 * min_rows``).  Merged files are
-        committed through a single atomic manifest swap; the old files
-        are unlinked only afterwards, so a crash mid-compaction leaves
-        a consistent catalog (at worst with orphaned files a later
-        compaction cleans up).
+        ``target_rows`` (default ``4 * min_rows``).  The merged
+        segments' ids are reserved in a snapshot before any is written,
+        so a crash before the final snapshot leaves them below
+        ``next_id`` — outside the catalog and outside the run — and the
+        old catalog intact.  The final snapshot swaps them in; the old
+        files are unlinked only afterwards.
         """
         if min_rows < 1:
             raise ValueError("min_rows must be >= 1")
         if target_rows is None:
             target_rows = 4 * min_rows
-        metas = self.metas
+        metas = list(self._metas)
         groups: List[List[SegmentMeta]] = []
         current: List[SegmentMeta] = []
         current_rows = 0
@@ -790,23 +902,25 @@ class SegmentStore(_SegmentReads):
         if not groups:
             return 0
 
-        merged_for: Dict[str, Tuple[List[SegmentMeta], SegmentMeta]] = {}
+        first_id = self._next_id
+        self._next_id += len(groups)
+        self._save_snapshot()
+        merged_for: Dict[str, SegmentMeta] = {}
         obsolete: List[str] = []
-        for group in groups:
-            merged_meta = self._write_merged(group)
-            merged_for[group[0].name] = (group, merged_meta)
+        for offset, group in enumerate(groups):
+            merged_for[group[0].name] = self._write_merged(
+                group, _segment_name(first_id + offset)
+            )
             obsolete.extend(m.name for m in group)
 
-        entries: List[Dict[str, object]] = []
-        skip: frozenset = frozenset(obsolete)
-        for meta in metas:
-            if meta.name in merged_for:
-                entries.append(merged_for[meta.name][1].to_json())
-            elif meta.name not in skip:
-                entries.append(meta.to_json())
-        self._manifest["segments"] = entries
-        self._bump_generation()
-        self._save_manifest()
+        skip = frozenset(obsolete)
+        self._metas = [
+            merged_for.get(meta.name, meta)
+            for meta in metas
+            if meta.name in merged_for or meta.name not in skip
+        ]
+        self._generation += 1
+        self._save_snapshot()
         _COMPACTIONS.inc(len(groups))
         removed = 0
         for name in obsolete:
@@ -814,8 +928,8 @@ class SegmentStore(_SegmentReads):
             try:
                 os.unlink(self.directory / name)
             except OSError:
-                # Orphaned data files are harmless: the manifest no
-                # longer references them.
+                # Orphaned data files are harmless: they sit below
+                # next_id and no snapshot lists them.
                 pass
             removed += 1
         self._set_gauges()
@@ -828,10 +942,12 @@ class SegmentStore(_SegmentReads):
         )
         return removed - len(groups)
 
-    def _write_merged(self, group: Sequence[SegmentMeta]) -> SegmentMeta:
+    def _write_merged(
+        self, group: Sequence[SegmentMeta], name: str
+    ) -> SegmentMeta:
         """Concatenate a group of segments into one new segment file."""
-        hosts: Dict[str, int] = {}
-        dsts: Dict[str, int] = {}
+        hosts = _Codes()
+        dsts = _Codes()
         starts: List[np.ndarray] = []
         src_bytes: List[np.ndarray] = []
         success: List[np.ndarray] = []
@@ -839,20 +955,19 @@ class SegmentStore(_SegmentReads):
         dst_codes: List[np.ndarray] = []
         for meta in group:
             segment = self._segment(meta.name)
-            host_map = np.empty(len(segment.hosts), dtype=np.int32)
-            for local, host in enumerate(segment.hosts):
-                host_map[local] = hosts.setdefault(host, len(hosts))
-            dst_map = np.empty(len(segment.dsts), dtype=np.int32)
-            for local, dst in enumerate(segment.dsts):
-                dst_map[local] = dsts.setdefault(dst, len(dsts))
-            starts.append(np.asarray(segment.starts))
-            src_bytes.append(np.asarray(segment.src_bytes))
-            success.append(np.asarray(segment.success))
+            host_map = np.fromiter(
+                map(hosts.__getitem__, segment.hosts),
+                np.int32,
+                len(segment.hosts),
+            )
+            dst_map = np.fromiter(
+                map(dsts.__getitem__, segment.dsts), np.int32, len(segment.dsts)
+            )
+            starts.append(segment.starts)
+            src_bytes.append(segment.src_bytes)
+            success.append(segment.success)
             src_codes.append(host_map[segment.src_codes])
             dst_codes.append(dst_map[segment.dst_codes])
-        next_id = int(self._manifest["next_id"])
-        name = f"seg-{next_id:06d}{SEGMENT_SUFFIX}"
-        self._manifest["next_id"] = next_id + 1
         meta = write_segment(
             self.directory / name,
             starts=np.concatenate(starts),
@@ -870,10 +985,8 @@ class SegmentStore(_SegmentReads):
     # ------------------------------------------------------------------
     # Writers / views
     # ------------------------------------------------------------------
-    def writer(self, **kwargs) -> "SegmentWriter":
+    def writer(self, **kwargs) -> SegmentWriter:
         """A :class:`~repro.storage.writer.SegmentWriter` into this store."""
-        from .writer import SegmentWriter
-
         return SegmentWriter(self, **kwargs)
 
     def view(self, **kwargs) -> "StoreView":
@@ -886,10 +999,10 @@ class SegmentStore(_SegmentReads):
 class StoreChain(_SegmentReads):
     """A read-only catalog over several stores, in the order given.
 
-    Its segments are each store's segments in manifest order, one
-    store after another, so one gather over the chain sorts the rows
-    with the tie order a :class:`~repro.flows.store.FlowStore` gets
-    from ``extend``-ing each store's rows in turn.  A
+    Its segments are each store's segments in catalog order, one store
+    after another, so one gather over the chain sorts the rows with the
+    tie order a :class:`~repro.flows.store.FlowStore` gets from
+    ``extend``-ing each store's rows in turn.  A
     :class:`~repro.storage.view.StoreView` reads a chain as it reads
     one store; the serve drain scores every epoch's shard spools
     through one.

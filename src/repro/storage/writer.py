@@ -21,7 +21,7 @@ surgical on replay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,12 @@ class SegmentWriter:
     >>> with store.writer(segment_rows=100_000) as writer:   # doctest: +SKIP
     ...     for flow in flows:
     ...         writer.add(flow)
+
+    Rows pushed one at a time (:meth:`append`, :meth:`add`) buffer in
+    Python lists; runs of rows pushed as columns
+    (:meth:`append_columns`) buffer as copied array chunks, so the
+    numeric columns of the block parser reach the segment without a
+    round trip through Python objects.
     """
 
     def __init__(
@@ -68,16 +74,24 @@ class SegmentWriter:
         self.store = store
         self.segment_rows = int(segment_rows)
         self.segment_bytes = int(segment_bytes)
+        #: Rows per segment: the byte threshold counts ``_ROW_OVERHEAD``
+        #: bytes a row, so it is a row threshold too.
+        self._limit = min(
+            self.segment_rows, -(-self.segment_bytes // _ROW_OVERHEAD)
+        )
         self.rows_written = 0
         self.segments_cut = 0
+        self._buffered = 0
         self._starts: List[float] = []
         self._src_bytes: List[int] = []
         self._success: List[int] = []
         self._src_codes: List[int] = []
         self._dst_codes: List[int] = []
+        #: Sealed runs of buffered rows, each (starts, src_bytes,
+        #: success, src_codes, dst_codes) in segment dtypes.
+        self._chunks: List[Tuple[np.ndarray, ...]] = []
         self._host_code = _Codes()
         self._dst_code = _Codes()
-        self._approx_bytes = 0
 
     # -- producing ------------------------------------------------------
     def append(
@@ -89,11 +103,8 @@ class SegmentWriter:
         self._success.append(1 if success else 0)
         self._src_codes.append(self._host_code[src])
         self._dst_codes.append(self._dst_code[dst])
-        self._approx_bytes += _ROW_OVERHEAD
-        if (
-            len(self._starts) >= self.segment_rows
-            or self._approx_bytes >= self.segment_bytes
-        ):
+        self._buffered += 1
+        if self._buffered >= self._limit:
             self.cut()
 
     def append_columns(
@@ -107,30 +118,39 @@ class SegmentWriter:
         """Buffer a run of rows given as five equal-length columns.
 
         Equivalent to :meth:`append` row by row — the same first-seen
-        codes and the same cut points, so the same segment bytes — with
-        the per-row work done by C-level ``extend``/``map`` over slices.
+        codes and the same cut points, so the same segment bytes.  The
+        columns may be arrays (the block parser's float64/int64/bool
+        columns) or sequences; each run is copied into the buffer, so
+        the caller's arrays are never held.
         """
+        self._seal()
         total = len(start)
         pos = 0
         while pos < total:
             # Rows until the next threshold cut (>= 1: a full buffer
             # has already been cut).
-            room = min(
-                self.segment_rows - len(self._starts),
-                -(-(self.segment_bytes - self._approx_bytes) // _ROW_OVERHEAD),
-            )
-            end = min(total, pos + max(1, room))
+            end = min(total, pos + self._limit - self._buffered)
             part = slice(pos, end)
-            self._src_codes.extend(map(self._host_code.__getitem__, src[part]))
-            self._dst_codes.extend(map(self._dst_code.__getitem__, dst[part]))
-            self._starts.extend(start[part])
-            self._src_bytes.extend(src_bytes[part])
-            self._success.extend(success[part])
-            self._approx_bytes += _ROW_OVERHEAD * (end - pos)
-            if (
-                len(self._starts) >= self.segment_rows
-                or self._approx_bytes >= self.segment_bytes
-            ):
+            rows = end - pos
+            self._chunks.append(
+                (
+                    np.array(start[part], dtype=np.float64),
+                    np.array(src_bytes[part], dtype=np.int64),
+                    np.array(success[part], dtype=np.uint8),
+                    np.fromiter(
+                        map(self._host_code.__getitem__, src[part]),
+                        np.int32,
+                        rows,
+                    ),
+                    np.fromiter(
+                        map(self._dst_code.__getitem__, dst[part]),
+                        np.int32,
+                        rows,
+                    ),
+                )
+            )
+            self._buffered += rows
+            if self._buffered >= self._limit:
                 self.cut()
             pos = end
 
@@ -152,7 +172,25 @@ class SegmentWriter:
     @property
     def buffered_rows(self) -> int:
         """Rows currently buffered (not yet in any segment)."""
-        return len(self._starts)
+        return self._buffered
+
+    def _seal(self) -> None:
+        """Move the rows buffered one at a time into an array chunk."""
+        if self._starts:
+            self._chunks.append(
+                (
+                    np.array(self._starts, dtype=np.float64),
+                    np.array(self._src_bytes, dtype=np.int64),
+                    np.array(self._success, dtype=np.uint8),
+                    np.array(self._src_codes, dtype=np.int32),
+                    np.array(self._dst_codes, dtype=np.int32),
+                )
+            )
+            self._starts.clear()
+            self._src_bytes.clear()
+            self._success.clear()
+            self._src_codes.clear()
+            self._dst_codes.clear()
 
     # -- cutting --------------------------------------------------------
     def cut(self) -> bool:
@@ -162,27 +200,27 @@ class SegmentWriter:
         semantic ones (tumbling windows, trace days) so time-range
         pruning later skips whole segments.
         """
-        if not self._starts:
+        self._seal()
+        if not self._chunks:
             return False
+        starts, src_bytes, success, src_codes, dst_codes = (
+            np.concatenate(column) for column in zip(*self._chunks)
+        )
         self.store.append_segment(
-            starts=np.asarray(self._starts, dtype=np.float64),
-            src_bytes=np.asarray(self._src_bytes, dtype=np.int64),
-            success=np.asarray(self._success, dtype=np.uint8),
-            src_codes=np.asarray(self._src_codes, dtype=np.int32),
-            dst_codes=np.asarray(self._dst_codes, dtype=np.int32),
+            starts=starts,
+            src_bytes=src_bytes,
+            success=success,
+            src_codes=src_codes,
+            dst_codes=dst_codes,
             hosts=list(self._host_code),
             dsts=list(self._dst_code),
         )
-        self.rows_written += len(self._starts)
+        self.rows_written += self._buffered
         self.segments_cut += 1
-        self._starts.clear()
-        self._src_bytes.clear()
-        self._success.clear()
-        self._src_codes.clear()
-        self._dst_codes.clear()
+        self._buffered = 0
+        self._chunks.clear()
         self._host_code = _Codes()
         self._dst_code = _Codes()
-        self._approx_bytes = 0
         return True
 
     def close(self) -> None:

@@ -9,6 +9,7 @@ CRC, and format drift — header byte or footer schema — must raise
 """
 
 import json
+import mmap
 import struct
 import zlib
 from pathlib import Path
@@ -73,10 +74,25 @@ class TestRoundTrip:
         np.testing.assert_array_equal(segment.host_t_max, [5.0, 4.0, 2.0])
 
     def test_column_reads_are_memmaps(self, tmp_path):
+        # Every column is a read-only view of the file's one memory map:
+        # not copied, not writable, and the bytes at its footer offset.
         path = tmp_path / "seg-000000.rseg"
         small_segment(path)
         segment = open_segment(path)
-        assert isinstance(segment.starts, np.memmap)
+        raw = path.read_bytes()
+        layout = read_footer(path)["columns"]
+        mapping = segment.starts.base.obj  # a memoryview's exporter
+        assert isinstance(mapping, mmap.mmap)
+        for name, dtype in COLUMN_DTYPES:
+            column = segment.column(name)
+            assert column.base.obj is mapping
+            assert not column.flags.writeable
+            assert not column.flags.owndata
+            offset = layout[name]["offset"]
+            assert column.tobytes() == raw[offset : offset + column.nbytes]
+            assert column.dtype == np.dtype(dtype)
+        with pytest.raises(ValueError, match="read-only"):
+            segment.starts[0] = 0.0
 
     def test_file_layout_is_the_documented_one(self, tmp_path):
         path = tmp_path / "seg-000000.rseg"
