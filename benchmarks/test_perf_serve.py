@@ -9,15 +9,11 @@ isolates steady-state ingest (no mid-run clustering evaluations), and
 after the timed section the coordinator's row accounting must
 reconcile exactly with what was posted.
 
-Three measurements ship in one report:
+Two measurements ship in one report:
 
-* **volatile ingest** — the pre-HA ack path (``durable_acks=False``):
-  no per-chunk segment cut or journal append before the 200.  This is
-  the continuation of the historical ``http_ingest_rows_per_s@serve``
-  series, so the regression gate compares like with like.
-* **durable ingest** — the HA-default exactly-once path: spool cut +
-  coordinator-journal fsync inside every ack.  Its own history series
-  (``…_durable_…``) prices the durability tax explicitly.
+* **durable ingest** — the one ack path: each chunk's segment cut
+  into the epoch spool plus its coordinator-journal fsync inside every
+  ack (``http_ingest_durable_rows_per_s@serve``).
 * **backpressure sweep** — durable ingest under admission control with
   the backlog watermark at 50% / 90% of a chunk and a *saturated*
   (10%) setting, driven through :class:`repro.serve.ServeClient` so
@@ -117,22 +113,14 @@ def chunk_bodies(flows, chunk_rows: int) -> list:
     ]
 
 
-def time_http_ingest(
-    n_rows: int,
-    n_shards: int,
-    chunk_rows: int,
-    work_dir,
-    durable_acks: bool = False,
-):
+def time_http_ingest(n_rows: int, n_shards: int, chunk_rows: int, work_dir):
     from repro.serve import ServeConfig, ServeCoordinator
 
     bodies = chunk_bodies(synthesize_rows(n_rows), chunk_rows)
-    label = "durable" if durable_acks else "volatile"
     config = ServeConfig(
-        spool_dir=str(Path(work_dir) / f"spool-{label}"),
+        spool_dir=str(Path(work_dir) / "spool-durable"),
         n_shards=n_shards,
         window=1e12,  # never tumble mid-measurement
-        durable_acks=durable_acks,
     )
     coordinator = ServeCoordinator(config)
     coordinator.start()
@@ -152,7 +140,6 @@ def time_http_ingest(
     finally:
         coordinator.close()
     return {
-        "durable_acks": durable_acks,
         "n_rows": n_rows,
         "n_shards": n_shards,
         "chunk_rows": chunk_rows,
@@ -220,10 +207,7 @@ def time_backpressure(n_rows: int, n_shards: int, chunk_rows: int, work_dir):
 
 
 def run_benchmark(n_rows: int, n_shards: int, chunk_rows: int, out_path, work_dir):
-    result = time_http_ingest(n_rows, n_shards, chunk_rows, work_dir)
-    durable = time_http_ingest(
-        n_rows, n_shards, chunk_rows, work_dir, durable_acks=True
-    )
+    durable = time_http_ingest(n_rows, n_shards, chunk_rows, work_dir)
     bp_rows = _configured_bp_rows()
     backpressure = time_backpressure(bp_rows, n_shards, chunk_rows, work_dir)
     report = {
@@ -231,20 +215,14 @@ def run_benchmark(n_rows: int, n_shards: int, chunk_rows: int, out_path, work_di
         "generated_by": "benchmarks/test_perf_serve.py",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "cpu_count": os.cpu_count(),
-        "result": result,
         "durable": durable,
         "backpressure": backpressure,
     }
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
     print(
-        f"serve ingest: {result['n_rows']} rows in {result['n_posts']} posts "
-        f"({result['n_shards']} shards) -> "
-        f"{result['rows_per_second']:9.0f} rows/s (volatile acks)"
-    )
-    print(
-        f"durable acks: {durable['n_rows']} rows -> "
-        f"{durable['rows_per_second']:9.0f} rows/s "
-        f"({result['rows_per_second'] / durable['rows_per_second']:.2f}x tax)"
+        f"serve ingest: {durable['n_rows']} rows in {durable['n_posts']} "
+        f"posts ({durable['n_shards']} shards) -> "
+        f"{durable['rows_per_second']:9.0f} rows/s (durable acks)"
     )
     for name, level in backpressure.items():
         print(
@@ -256,12 +234,6 @@ def run_benchmark(n_rows: int, n_shards: int, chunk_rows: int, out_path, work_di
     append_history(
         "serve_plane",
         {
-            # The volatile path continues the pre-HA history series.
-            "http_ingest_rows_per_s@serve": result["rows_per_second"],
-            # normalised to 1000 rows so CI smokes and local sweeps with
-            # different REPRO_BENCH_SERVE_ROWS stay one comparable series
-            "http_ingest_kilorow_seconds@serve": result["seconds"]
-            / (result["n_rows"] / 1000.0),
             "http_ingest_durable_rows_per_s@serve": durable[
                 "rows_per_second"
             ],
@@ -313,7 +285,7 @@ def test_perf_serve(tmp_path):
         _configured_out_path(),
         tmp_path,
     )
-    assert report["result"]["rows_per_second"] > 0
+    assert report["durable"]["rows_per_second"] > 0
 
 
 if __name__ == "__main__":

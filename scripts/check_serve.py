@@ -17,13 +17,15 @@ proving workers tumble on the shared grid while ingest is still hot.
 **Worker SIGKILL mid-window** — one worker pid (from ``/shards``) is
 SIGKILLed between chunks.  The supervisor must respawn it (restart
 counter increments, all shards report alive) and the replacement must
-replay its shard spool — no flow may be lost, no window double-counted.
+replay its shard's rows of the epoch spool — no flow may be lost, no
+window double-counted.
 
 **SIGTERM drain ≡ batch** — the service is SIGTERM-drained; its final
 report (also ``drain.json``) must carry verdicts *bit-identical* to a
 batch :func:`find_plotters` run over the very same flows — identical
 suspect list and SHA-256 checksum — with ``duplicate_verdicts == 0``
-despite the kill, and the run recorded in the ledger.
+despite the kill, and the run recorded in the ledger.  The epoch
+spool then holds exactly one segment per journaled chunk with rows.
 
 The drain report, discovery file, and run ledger land in
 ``--artifacts`` for CI upload.
@@ -53,7 +55,9 @@ spool and are driven through the full disaster catalogue —
 6. **Drain ≡ batch** — SIGTERM-drain of the final primary (incarnation
    4) must be bit-identical to batch :func:`find_plotters` over the
    union of everything ingested across all four incarnations; the
-   surviving standby exits 0 on the terminal ``drained`` record.
+   surviving standby exits 0 on the terminal ``drained`` record, and
+   each epoch spool holds exactly one segment per journaled chunk with
+   rows — no cut duplicated or lost across the kills and failovers.
 
 Knobs: ``REPRO_SERVE_SMOKE_SHARDS`` (default 2),
 ``REPRO_SERVE_SMOKE_WINDOW`` (default 300 s).
@@ -74,6 +78,7 @@ import sys
 import tempfile
 import time
 import urllib.request
+from collections import Counter
 from pathlib import Path
 
 import _checklib
@@ -88,6 +93,8 @@ from repro.flows.argus import dumps  # noqa: E402
 from repro.obs.ledger import suspects_checksum  # noqa: E402
 from repro.resilience import RetryPolicy  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
+from repro.serve.journal import COORD_LOG_NAME  # noqa: E402
+from repro.storage import SegmentStore  # noqa: E402
 
 N_CHUNKS = 10
 POLL_INTERVAL = 0.2
@@ -255,6 +262,31 @@ def drain_service(proc, spool_dir: Path) -> dict:
         "drain.json and the printed report disagree"
     )
     return report
+
+
+def check_one_segment_per_chunk(spool_dir: Path) -> None:
+    """Each epoch spool holds exactly one segment per journaled chunk
+    record with rows: a cut duplicated or lost across kills and
+    failover shows up as a count that differs."""
+    chunks = Counter()
+    for line in (spool_dir / COORD_LOG_NAME).read_text().splitlines():
+        record = json.loads(line)
+        if record.get("kind") == "chunk" and record["rows"]:
+            chunks[record["epoch"]] += 1
+    segments = {
+        int(directory.name.split("-", 1)[1]): SegmentStore.open(
+            directory
+        ).n_segments
+        for directory in sorted(spool_dir.glob("epoch-*"))
+    }
+    epochs = sorted(set(segments) | set(chunks))
+    assert [segments.get(e, 0) for e in epochs] == [chunks[e] for e in epochs], (
+        f"segments per epoch {segments} != journaled chunks {dict(chunks)}"
+    )
+    print(
+        "one segment per journaled chunk: "
+        + ", ".join(f"epoch {e}: {chunks[e]}" for e in epochs)
+    )
 
 
 def check_ledger(ledger_dir: Path, report: dict) -> None:
@@ -606,6 +638,8 @@ def ha_main(args) -> int:
 
             with phase("SIGTERM drain (fence 4)"):
                 report = drain_service(nodes.pop(primary), spool_dir)
+            with phase("one segment per journaled chunk"):
+                check_one_segment_per_chunk(spool_dir)
 
             with phase("standby stands down on drained journal"):
                 leftover = nodes.pop(other[primary])
@@ -731,6 +765,8 @@ def main() -> int:
             with phase("SIGTERM drain"):
                 report = drain_service(proc, spool_dir)
                 proc = None
+            with phase("one segment per journaled chunk"):
+                check_one_segment_per_chunk(spool_dir)
             shutil.copy(spool_dir / "drain.json", artifacts / "drain.json")
         finally:
             if proc is not None and proc.poll() is None:

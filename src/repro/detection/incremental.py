@@ -15,8 +15,8 @@ finalised (its result retained in ``history``) and a new one starts.
 
 The detector holds window state in memory only.  Its production user,
 the :mod:`repro.serve` worker, keeps it rebuildable: the coordinator's
-shard spool and journal are the durable record, and a replacement
-worker replays the spool onto a fresh detector.
+epoch spool and journal are the durable record, and a replacement
+worker replays its shard's rows of the spool onto a fresh detector.
 
 Fidelity note: the scalar features are exact; θ_hm reads the per-host
 interstitial reservoir (an unbiased sample) instead of the complete

@@ -388,10 +388,10 @@ class FlowColumns(NamedTuple):
     """The five feature-bearing columns of a run of parsed flows.
 
     The projection :meth:`SegmentWriter.append
-    <repro.storage.writer.SegmentWriter.append>` stores and serve
-    workers consume, one array per field: ``src`` and ``dst`` hold
-    ``str`` objects, ``start`` is float64, ``src_bytes`` int64 and
-    ``success`` bool.  Flow ``i`` is element ``i`` of each.
+    <repro.storage.writer.SegmentWriter.append>` stores, one array per
+    field: ``src`` and ``dst`` hold ``str`` objects, ``start`` is
+    float64, ``src_bytes`` int64 and ``success`` bool.  Flow ``i`` is
+    element ``i`` of each.
     """
 
     src: np.ndarray
@@ -400,13 +400,10 @@ class FlowColumns(NamedTuple):
     src_bytes: np.ndarray
     success: np.ndarray
 
-    def take(self, index: np.ndarray) -> "FlowColumns":
-        """The rows ``index`` selects (positions or a mask), in its order."""
+    def take(self, index) -> "FlowColumns":
+        """The rows ``index`` selects (positions, a mask or a slice), in
+        its order."""
         return FlowColumns(*(column[index] for column in self))
-
-    def rows(self) -> List[Tuple[str, str, float, int, bool]]:
-        """The rows as Python-typed tuples, as a serve worker takes them."""
-        return list(zip(*(column.tolist() for column in self)))
 
 
 #: The columns of no rows, in the column dtypes.

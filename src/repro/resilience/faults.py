@@ -37,7 +37,7 @@ Environment knobs (all unset by default — zero injected faults):
 ``REPRO_FAULT_SERVE_COORD_EXIT_ONCE``
     Path to a sentinel file.  The *coordinator* process claims it at
     the nastiest instant of the ingest path — after a chunk's rows are
-    durably cut into the shard spools but before the chunk record
+    durably cut into the epoch spool but before the chunk record
     reaches the coordinator log — and hard-exits, so failover tests
     exercise promotion's orphan-segment reconciliation and the client
     library's idempotent resend.  Exactly one death per sentinel.
@@ -108,7 +108,7 @@ def serve_coord_exit_once() -> None:
     """Hard-exit the serve *coordinator* if its sentinel is claimable.
 
     The coordinator calls this in the ingest path after a chunk's rows
-    are durably cut into the shard spools but *before* the chunk record
+    are durably cut into the epoch spool but *before* the chunk record
     is journaled — the exact crash window promotion's orphan-segment
     reconciliation exists for.  ``os._exit`` models a SIGKILL: the
     unacked client sees a dead connection and must resend.  Only ever

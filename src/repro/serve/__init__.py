@@ -10,8 +10,9 @@ service:
   ingest, shards internal hosts across persistent detection worker
   processes (:mod:`repro.serve.worker`, one
   :class:`~repro.detection.incremental.OnlineDetector` each), and
-  spools every accepted flow into per-shard ``.rseg`` segment stores
-  (:mod:`repro.storage`) *before* forwarding it — the spool, not any
+  cuts every accepted chunk into the epoch's one ``.rseg`` segment
+  store (:mod:`repro.storage`) *before* naming the segment to the
+  workers, which read their shards' rows from it — the spool, not any
   worker, is the durability boundary;
 * the control plane is the PR 7 telemetry endpoint grown routes
   (:func:`repro.serve.http.build_routes` on
@@ -21,11 +22,11 @@ service:
   ``/metrics`` / ``/healthz`` / ``/summary``;
 * workers ship finalised-window verdicts and metric deltas home
   (:meth:`~repro.obs.metrics.MetricsRegistry.delta_since`); a killed
-  worker is restarted and replays its shard spool from the last
+  worker is restarted and replays its shard's spool rows from the last
   finalised window boundary, on the same window grid
   (``window_origin``), so no ingested flow is ever lost to a crash;
 * SIGTERM (or ``POST /drain``) finalises every in-flight window and
-  then re-scores the union of all shard spools with the exact batch
+  then re-scores the union of every epoch's spool with the exact batch
   pipeline (:func:`repro.detection.pipeline.find_plotters`) — the
   drained verdict is bit-identical to a batch run over the same
   flows, which is the service's acceptance invariant;

@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--spool-dir",
         required=True,
         metavar="DIR",
-        help="root of the service's durable state (per-shard segment "
-        "spools, serve.json discovery file, drain.json report)",
+        help="root of the service's durable state (one segment spool "
+        "per epoch, coord.log journal, serve.json discovery file, "
+        "drain.json report)",
     )
     parser.add_argument(
         "--shards",
@@ -102,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="spool segment cut threshold in rows (default: storage "
-        "plane default)",
+        help="most rows per spool segment; a larger ingest chunk is "
+        "cut into several (default: storage plane default)",
     )
     parser.add_argument(
         "--on-parse-error",
@@ -151,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "plane's cross-window history; also enables the /query/* "
         "routes (default: off)",
     )
-    parser.add_argument(
-        "--volatile-acks",
-        action="store_true",
-        help="restore the pre-HA volatile ack path (no per-chunk "
-        "segment cut or journal append before the 200): faster, "
-        "at-least-once across coordinator death, incompatible "
-        "with --ha",
-    )
     add_observability_args(parser)
     return parser
 
@@ -180,8 +173,6 @@ _ANNOTATED_KEYS = (
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.ha and args.volatile_acks:
-        parser.error("--ha requires durable acks (drop --volatile-acks)")
     config = ServeConfig(
         spool_dir=args.spool_dir,
         n_shards=args.shards,
@@ -191,7 +182,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         host=args.host,
         segment_rows=args.segment_rows,
         on_parse_error=args.on_parse_error,
-        durable_acks=not args.volatile_acks,
         max_backlog_rows=args.max_backlog_rows,
         lease_ttl=args.lease_ttl,
         standby_poll=args.standby_poll,

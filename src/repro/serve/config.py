@@ -26,10 +26,16 @@ class ServeConfig:
     Parameters
     ----------
     spool_dir:
-        Root directory of the service's durable state: per-shard
-        segment spools live at ``<spool_dir>/epoch-XXX/shard-YY``, the
-        drain report at ``<spool_dir>/drain.json`` and the discovery
-        file at ``<spool_dir>/serve.json``.
+        Root directory of the service's durable state: one segment
+        spool per shard-topology epoch at ``<spool_dir>/epoch-XXX``
+        (every shard's rows, in arrival order), the coordinator log at
+        ``<spool_dir>/coord.log``, the drain report at
+        ``<spool_dir>/drain.json`` and the discovery file at
+        ``<spool_dir>/serve.json``.  Every acknowledged ingest chunk is
+        cut into the epoch spool as one segment and journaled in the
+        coordinator log *before* the HTTP 200, so an acked chunk
+        survives coordinator SIGKILL and a resent chunk (by client
+        sequence number) is applied exactly once.
     n_shards:
         Worker processes; hosts map to shards by stable blake2b hash
         (:func:`repro.serve.sharding.shard_of`).
@@ -44,8 +50,9 @@ class ServeConfig:
         Control-plane bind address (``port=0`` = ephemeral; the bound
         port is published in ``serve.json``).
     segment_rows:
-        Spool segment cut threshold (rows); ``None`` = the storage
-        plane's default.
+        Most rows one spool segment holds (``None`` = the storage
+        plane's default); a larger ingest chunk is cut into several
+        segments.
     pipeline:
         Detection thresholds, shared verbatim with
         :func:`~repro.detection.pipeline.find_plotters` — the drain
@@ -58,16 +65,6 @@ class ServeConfig:
         Ingest-endpoint policy for malformed CSV rows
         (``strict`` | ``skip`` | ``quarantine``); a resident service
         defaults to ``skip`` — one bad row must not poison a POST.
-    durable_acks:
-        When true (the default), every acknowledged ingest chunk is
-        segment-cut into its shard spools and journaled in the
-        coordinator log *before* the HTTP 200 — an acked chunk
-        survives coordinator SIGKILL, and resent chunks (by client
-        sequence number) deduplicate exactly once.  ``False`` restores
-        the PR 8 volatile path (rows buffered in the writer until a
-        threshold/respawn cut; at-least-once across coordinator death)
-        — measurably faster, and what the legacy bench series pins.
-        HA mode requires durable acks.
     max_backlog_rows:
         Admission-control watermark: when the rows forwarded to
         workers but not yet acknowledged by them exceed this, ingest
@@ -103,7 +100,6 @@ class ServeConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     internal_hosts: Optional[Tuple[str, ...]] = None
     on_parse_error: str = "skip"
-    durable_acks: bool = True
     max_backlog_rows: Optional[int] = None
     lease_ttl: float = 5.0
     standby_poll: float = 0.25

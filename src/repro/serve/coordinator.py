@@ -3,13 +3,16 @@
 One :class:`ServeCoordinator` owns everything durable and everything
 shared; workers are disposable.  The invariants it maintains:
 
-**Spool-before-queue.**  ``ingest`` appends every accepted flow to its
-shard's segment spool *before* putting it on the worker's inbox, under
-the topology lock.  A worker can die at any instant without losing a
-row: its replacement replays the spool from the last finalised window
-boundary.  The writer's buffered tail lives in the coordinator
-process, so not even an un-cut segment is exposed to worker death —
-the spool is cut before every respawn.
+**Spool-before-queue.**  ``ingest`` cuts every accepted chunk into the
+epoch spool — one segment store per shard-topology epoch, holding
+every shard's rows in arrival order — and journals it *before* it
+tells any worker, under the topology lock.  A worker is handed only
+the new segment's name and reads its own shard's rows from it; no row
+travels through a queue.  A worker can die at any instant without
+losing a row: its replacement replays its shard's rows of the spool
+from the last finalised window boundary.  The writer never holds a
+row between requests, so nothing the coordinator has acknowledged is
+outside the spool.
 
 **One verdict per window.**  Workers ship finalised-window verdicts;
 the coordinator keys them by ``(epoch, shard, grid-index)`` on the
@@ -20,7 +23,7 @@ double-report a window.
 **Drain = batch.**  Per-shard online verdicts cannot equal a global
 batch run (the pipeline's percentile thresholds are population-wide),
 so the drained verdict is computed by re-scoring the *union* of every
-epoch's shard spools — read as one :class:`~repro.storage.StoreView`
+epoch's spool — read as one :class:`~repro.storage.StoreView`
 over a :class:`~repro.storage.StoreChain`, never as records — with the
 exact batch pipeline (:func:`~repro.detection.pipeline.find_plotters`)
 under the service's own
@@ -30,22 +33,23 @@ batch run over the same flows.
 
 **Rebalance is an epoch barrier.**  Changing the shard count finalises
 every in-flight window (synchronised early tumble on the shared grid),
-retires the workers, and starts a fresh epoch with new spools and a
+retires the workers, and starts a fresh epoch with a new spool and a
 new :class:`~repro.serve.sharding.ShardMap`; old epochs' spools stay
 on disk, where the drain rescore — which is shard-agnostic — still
 unions them in.
 
-**The coordinator itself is now disposable.**  With durable acks (the
-default) every acknowledged ingest chunk is segment-cut into its
-spools and recorded in the coordinator log
-(:mod:`repro.serve.journal`) *before* the HTTP 200, and every accepted
-verdict and epoch barrier is journaled too.  ``start`` resumes from
-that log: it rebuilds the dedupe set, the applied-chunk map and the
-topology, enumerates every epoch's spools from disk, truncates any
-spool suffix a crash left unjournaled (the owning chunk was never
-acked; its client resends), and spawns workers replaying from the last
-finalised window boundary — which is exactly what HA promotion
-(:mod:`repro.serve.ha`) does under a new fencing incarnation.
+**The coordinator itself is disposable.**  A durable ack makes three
+fsyncs: two for the chunk's segment cut (file and directory) and one
+for its record in the coordinator log (:mod:`repro.serve.journal`),
+both before the HTTP 200; every accepted verdict and epoch barrier is
+journaled too.  ``start`` resumes from that log: it rebuilds the
+dedupe set, the applied-chunk map and the topology, enumerates every
+epoch's spool from disk, truncates any spool suffix a crash left
+unjournaled (the owning chunk was never acked; its client resends),
+and spawns workers replaying from the last finalised window boundary
+— which is exactly what HA promotion (:mod:`repro.serve.ha`) does
+under a new fencing incarnation.  A log or spool written in the older
+one-spool-per-shard layout is refused.
 
 **Backpressure and quarantine.**  ``max_backlog_rows`` bounds the rows
 forwarded to workers but not yet acknowledged by them; over the
@@ -63,6 +67,7 @@ import json
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import queue as queue_mod
+import sys
 import threading
 import time
 from collections import defaultdict
@@ -78,7 +83,7 @@ from ..obs.http import MetricsServer
 from ..obs.ledger import suspects_checksum
 from ..obs.logconf import get_logger
 from ..resilience import StageGuard, atomic_write_text, faults
-from ..storage import SegmentStore, StoreChain, StoreView
+from ..storage import DEFAULT_SEGMENT_ROWS, SegmentStore, StoreChain, StoreView
 from ..storage.format import StorageError
 from .config import ServeConfig
 from .journal import COORD_LOG_NAME, CoordinatorLog, LogState
@@ -113,7 +118,7 @@ _EPOCH = obs_metrics.gauge(
     "repro_serve_epoch", "Current shard-topology epoch"
 )
 _SPOOLED = obs_metrics.gauge(
-    "repro_serve_spooled_rows", "Rows ingested into the shard spools"
+    "repro_serve_spooled_rows", "Rows ingested into the epoch spools"
 )
 _INCARNATION = obs_metrics.gauge(
     "repro_serve_incarnation",
@@ -176,7 +181,6 @@ class _Worker:
         process,
         inbox,
         outbox,
-        spool_dir: Path,
     ) -> None:
         self.shard = shard
         self.incarnation = incarnation
@@ -184,7 +188,6 @@ class _Worker:
         self.process = process
         self.inbox = inbox
         self.outbox = outbox
-        self.spool_dir = spool_dir
         self.retired = False
 
 
@@ -224,9 +227,9 @@ class ServeCoordinator:
         self._state_lock = threading.Lock()
         self._mp = mp.get_context("spawn")
         self._workers: Dict[int, _Worker] = {}
-        self._writers: Dict[int, object] = {}
+        #: The epoch spool's writer; it never holds rows between acks.
+        self._writer = None
         self._spool_dirs: List[Path] = []
-        self._hosts_per_shard: Dict[int, Set[str]] = defaultdict(set)
         self._accepted: Dict[Tuple[int, int, int], Dict] = {}
         self._last_final_end: Dict[Tuple[int, int], float] = {}
         self._duplicates = 0
@@ -314,10 +317,12 @@ class ServeCoordinator:
 
         Restores topology, the verdict dedupe set, the applied-chunk
         map and the ingest row count; enumerates every epoch's spool
-        directories from disk; and — under durable acks — truncates
-        any spool suffix whose chunk record never landed (the crash
-        window between segment cut and journal append; the owning
-        client never got its ack and resends).
+        from disk; and truncates the current epoch's spool suffix
+        whose chunk record never landed (the crash window between
+        segment cut and journal append; the owning client never got
+        its ack and resends).  Refuses a log or spool in the
+        one-spool-per-shard layout of older builds: its rows cannot be
+        reconciled against per-epoch watermarks.
         """
         state = log_state
         if state is None:
@@ -326,6 +331,12 @@ class ServeCoordinator:
             raise RuntimeError(
                 f"{self.root}: spool was already drained; refusing to serve "
                 "over a finalised report"
+            )
+        if state.per_shard_layout or any(self.root.glob("epoch-*/shard-*")):
+            raise RuntimeError(
+                f"{self.root}: spool is in the one-spool-per-shard layout "
+                "(epoch-*/shard-* directories, per-shard 'cum' journal "
+                "records); drain it with the build that wrote it"
             )
         self._log_epoch_needed = state.epoch is None
         if state.epoch is not None:
@@ -338,19 +349,14 @@ class ServeCoordinator:
         self._applied = dict(state.applied)
         self.rows_ingested = state.rows_ingested
         self._spool_dirs = sorted(
-            d
-            for d in self.root.glob("epoch-*/shard-*")
-            if d.is_dir()
+            d for d in self.root.glob("epoch-*") if d.is_dir()
         )
-        if self.config.durable_acks:
-            for shard in range(self.shard_map.n_shards):
-                spool_dir = self._shard_dir(shard)
-                expected = state.cum.get((self.epoch, shard), 0)
-                try:
-                    store = SegmentStore.open(spool_dir, repair=True)
-                except (StorageError, OSError):
-                    continue  # no spool yet: nothing to reconcile
-                store.truncate_rows(expected)
+        try:
+            store = SegmentStore.open(self._epoch_dir(), repair=True)
+        except (StorageError, OSError):
+            pass  # no spool yet: nothing to reconcile
+        else:
+            store.truncate_rows(state.cum.get(self.epoch, 0))
         if state.records:
             logger.info(
                 "resumed from coordinator log: epoch %d, %d row(s), "
@@ -413,27 +419,27 @@ class ServeCoordinator:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def _shard_dir(self, shard: int) -> Path:
-        return self.root / f"epoch-{self.epoch:03d}" / f"shard-{shard:02d}"
+    def _epoch_dir(self) -> Path:
+        return self.root / f"epoch-{self.epoch:03d}"
 
     def _spawn_epoch(self) -> None:
-        """Create this epoch's spools and one worker per shard.
+        """Create this epoch's spool and one worker per shard.
 
-        Idempotent against resume: spools that already exist on disk
-        are reopened and the worker replays them from the last
-        journaled finalised-window boundary — a promoted coordinator's
-        workers rebuild exactly the unfinalised window state the dead
-        primary's workers held.
+        Idempotent against resume: a spool that already exists on disk
+        is reopened and each worker replays its shard's rows from the
+        last journaled finalised-window boundary — a promoted
+        coordinator's workers rebuild exactly the unfinalised window
+        state the dead primary's workers held.
         """
+        spool_dir = self._epoch_dir()
+        # The ack path cuts every chunk itself, in runs of at most
+        # segment_rows rows, so the writer's own thresholds never fire.
+        self._writer = SegmentStore.create(spool_dir, exist_ok=True).writer(
+            segment_rows=sys.maxsize, segment_bytes=sys.maxsize
+        )
+        if spool_dir not in self._spool_dirs:
+            self._spool_dirs.append(spool_dir)
         for shard in range(self.shard_map.n_shards):
-            spool_dir = self._shard_dir(shard)
-            store = SegmentStore.create(spool_dir, exist_ok=True)
-            writer_kwargs = {}
-            if self.config.segment_rows is not None:
-                writer_kwargs["segment_rows"] = self.config.segment_rows
-            self._writers[shard] = store.writer(**writer_kwargs)
-            if spool_dir not in self._spool_dirs:
-                self._spool_dirs.append(spool_dir)
             self._breakers[shard] = self.guard.breaker(
                 "serve-worker-respawn",
                 max_failures=self.config.respawn_max_failures,
@@ -458,7 +464,8 @@ class ServeCoordinator:
                 self.config,
                 inbox,
                 outbox,
-                str(self._shard_dir(shard)),
+                str(self._epoch_dir()),
+                self.shard_map.n_shards,
                 replay_t0,
             ),
             name=f"repro-serve-worker-{shard}.{incarnation}",
@@ -472,7 +479,6 @@ class ServeCoordinator:
             process,
             inbox,
             outbox,
-            self._shard_dir(shard),
         )
         _WORKERS.set(len(self._workers))
 
@@ -493,10 +499,7 @@ class ServeCoordinator:
         self._drain_outbox(worker)  # salvage shipped-but-unread messages
         worker.process.join(timeout=1.0)
         worker.retired = True
-        # Flush the writer's buffered tail so the replacement's replay
-        # sees every row ever accepted for this shard.
-        self._writers[worker.shard].cut()
-        # The dead worker's unacked batches are replayed from the
+        # The dead worker's unacked segments are replayed from the
         # spool, not re-forwarded, so they leave the backlog.
         with self._state_lock:
             self._pending[worker.shard] = 0
@@ -554,16 +557,14 @@ class ServeCoordinator:
                 worker.process.join(timeout=5.0)
             self._drain_outbox(worker)
             worker.retired = True
-        for writer in self._writers.values():
-            writer.cut()
 
     def rebalance(self, n_shards: int) -> Dict[str, object]:
         """Change the shard count: epoch barrier + fresh workers.
 
         Every in-flight window is finalised first (a synchronised early
         tumble — all workers share the absolute window grid, so the
-        finalised windows line up), then the epoch increments and new
-        spools/workers start.  Old spools are left in place for the
+        finalised windows line up), then the epoch increments and a new
+        spool and workers start.  Old spools are left in place for the
         drain rescore.
         """
         if n_shards < 1:
@@ -574,9 +575,7 @@ class ServeCoordinator:
             previous = self.shard_map.n_shards
             self._stop_workers(finalize=True)
             self._workers = {}
-            self._writers = {}
             self._breakers = {}
-            self._hosts_per_shard = defaultdict(set)
             with self._state_lock:
                 self._pending = defaultdict(int)
                 _BACKLOG.set(0)
@@ -729,15 +728,16 @@ class ServeCoordinator:
         client: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> Dict[str, object]:
-        """Parse an Argus-CSV payload, spool it, forward it to workers.
+        """Parse an Argus-CSV payload, cut it into the epoch spool,
+        hand the segment to the workers.
 
         ``client``/``seq`` opt the chunk into exactly-once delivery:
         an already-applied ``(client, seq)`` returns its original ack
         with ``duplicate: true`` and does nothing else, so a client
         that resends after a lost ack (coordinator death, dropped
-        connection) can never double-ingest.  The durable-ack ordering
-        is spool-append → segment cut → journal append → ack; every
-        crash interleaving either truncates an unacked suffix at
+        connection) can never double-ingest.  The ack ordering is
+        spool-append → segment cut → journal append → hand-off → ack;
+        every crash interleaving either truncates an unacked suffix at
         promotion or deduplicates the resend.
         """
         if self._draining.is_set():
@@ -766,49 +766,47 @@ class ServeCoordinator:
                 raise BacklogFull(backlog, self.config.max_backlog_rows)
         columns, report = loads_columns(text, errors=self.config.on_parse_error)
         rows_ok = len(columns.src)
-        batches: Dict[int, List] = {}
         with self._lock:
-            for shard, part in self._by_shard(columns):
-                self._writers[shard].append_columns(*part)
-                self._hosts_per_shard[shard].update(part.src)
-                batches[shard] = part.rows()
+            cuts = self._cut(columns)
+            per_shard = sum(
+                (counts for _, counts in cuts),
+                np.zeros(self.shard_map.n_shards, dtype=np.int64),
+            )
             reply: Dict[str, object] = {
                 "rows_ok": rows_ok,
                 "rows_bad": report.rows_bad,
                 "shards": {
-                    str(shard): len(rows)
-                    for shard, rows in sorted(batches.items())
+                    str(shard): int(per_shard[shard])
+                    for shard in np.flatnonzero(per_shard).tolist()
                 },
             }
-            if self.config.durable_acks:
-                for shard in sorted(batches):
-                    self._writers[shard].cut()
-                # The injected coordinator SIGKILL strikes here — rows
-                # durable, chunk not yet journaled — the exact window
-                # promotion's orphan-segment truncation closes.
-                faults.serve_coord_exit_once()
-                if rows_ok or client is not None:
-                    self._log.append(
-                        {
-                            "kind": "chunk",
-                            "client": client,
-                            "seq": seq,
-                            "epoch": self.epoch,
-                            "rows": rows_ok,
-                            "cum": {
-                                str(shard): self._writers[shard].store.total_rows
-                                for shard in sorted(batches)
-                            },
-                            "reply": reply,
-                        }
+            # The injected coordinator SIGKILL strikes here — rows
+            # durable, chunk not yet journaled — the exact window
+            # promotion's orphan-segment truncation closes.
+            faults.serve_coord_exit_once()
+            if rows_ok or client is not None:
+                self._log.append(
+                    {
+                        "kind": "chunk",
+                        "client": client,
+                        "seq": seq,
+                        "epoch": self.epoch,
+                        "rows": rows_ok,
+                        "cum": self._writer.store.total_rows,
+                        "reply": reply,
+                    }
+                )
+            for name, counts in cuts:
+                for shard in np.flatnonzero(counts).tolist():
+                    if shard in self._quarantined:
+                        continue  # durable in the spool; drain covers it
+                    rows = int(counts[shard])
+                    self._seq += 1
+                    self._workers[shard].inbox.put(
+                        ("flows", self._seq, (name, rows))
                     )
-            for shard, rows in batches.items():
-                if shard in self._quarantined:
-                    continue  # durable in the spool; drain covers it
-                self._seq += 1
-                self._workers[shard].inbox.put(("flows", self._seq, rows))
-                with self._state_lock:
-                    self._pending[shard] += len(rows)
+                    with self._state_lock:
+                        self._pending[shard] += rows
             with self._state_lock:
                 _BACKLOG.set(sum(self._pending.values()))
                 if client is not None:
@@ -821,23 +819,28 @@ class ServeCoordinator:
         _INGEST_ROWS.inc(rows_ok)
         return reply
 
-    def _by_shard(self, columns: FlowColumns) -> List[Tuple[int, FlowColumns]]:
-        """Split a chunk's columns by shard, in first-seen shard order.
+    def _cut(self, columns: FlowColumns) -> List[Tuple[str, np.ndarray]]:
+        """Cut a chunk into the epoch spool (caller holds ``_lock``).
 
-        Each distinct host is hashed once; row order within a shard is
-        the chunk's order.
+        One segment, or one per ``segment_rows`` rows of a larger
+        chunk.  Returns each segment's name and its rows per shard,
+        counted over the writer's host codes: each host of the segment
+        is placed once, then one ``bincount`` runs over the rows.
         """
-        shard_of = {
-            host: self.shard_map.shard_of(host)
-            for host in dict.fromkeys(columns.src.tolist())
-        }
-        shards = np.fromiter(
-            map(shard_of.__getitem__, columns.src), np.int64, len(columns.src)
-        )
-        return [
-            (shard, columns.take(shards == shard))
-            for shard in dict.fromkeys(shard_of.values())
-        ]
+        step = self.config.segment_rows or DEFAULT_SEGMENT_ROWS
+        cuts = []
+        for start in range(0, len(columns.src), step):
+            self._writer.append_columns(
+                *columns.take(slice(start, start + step))
+            )
+            hosts, codes = self._writer.buffered_hosts()
+            counts = np.bincount(
+                self.shard_map.shards(hosts)[codes],
+                minlength=self.shard_map.n_shards,
+            )
+            self._writer.cut()
+            cuts.append((self._writer.last_segment.name, counts))
+        return cuts
 
     # ------------------------------------------------------------------
     # Live verdicts
@@ -920,6 +923,7 @@ class ServeCoordinator:
     def shards_doc(self) -> Dict[str, object]:
         """Topology and per-worker liveness (the recovery test's probe)."""
         with self._lock:
+            hosts = self.shard_map.hosts_per_shard()
             workers = [
                 {
                     "shard": worker.shard,
@@ -927,7 +931,7 @@ class ServeCoordinator:
                     "epoch": worker.epoch,
                     "pid": worker.process.pid,
                     "alive": worker.process.is_alive(),
-                    "hosts": len(self._hosts_per_shard[worker.shard]),
+                    "hosts": hosts[worker.shard],
                     "last_final_end": self._last_final_end.get(
                         (worker.epoch, worker.shard)
                     ),
@@ -970,8 +974,7 @@ class ServeCoordinator:
     def drain(self) -> Tuple[PipelineResult, Dict[str, object]]:
         """SIGTERM path: finalise everything, batch-rescore the spools.
 
-        Closes ingest, tumbles and stops every worker, cuts every
-        spool, then runs :func:`find_plotters` over the union of all
+        Closes ingest, tumbles and stops every worker, then runs :func:`find_plotters` over the union of all
         spooled rows — one :class:`~repro.storage.StoreView` over a
         :class:`~repro.storage.StoreChain` of the spools, scored as
         columns — under the service's pipeline config, producing
@@ -992,9 +995,9 @@ class ServeCoordinator:
         for worker in self._workers.values():
             self._drain_outbox(worker)
 
-        # Every epoch's shard spools, in spool order, as one view: one
-        # gather ties equal starts as FlowStore.extend over the spools
-        # in turn would, so the rescore is the batch run's bit for bit.
+        # Every epoch's spool, in epoch order, as one view: one gather
+        # ties equal starts as FlowStore.extend over the spools in turn
+        # would, so the rescore is the batch run's bit for bit.
         stores = []
         for spool_dir in self._spool_dirs:
             try:

@@ -119,11 +119,6 @@ def run_ha(
     announce:
         Optional ``callable(str)`` for operator-facing one-liners.
     """
-    if not config.durable_acks:
-        raise ValueError(
-            "HA requires durable_acks=True: a standby can only promote "
-            "exactly-once over a journaled ingest path"
-        )
     shutdown = shutdown or threading.Event()
     say = announce or (lambda message: None)
     root = Path(config.spool_dir)

@@ -1,9 +1,10 @@
 """The coordinator log: one JSONL journal that makes promotion exact.
 
-PR 8 made *workers* disposable — the per-shard spools replay their
-state.  The coordinator itself still held three pieces of state only
-in memory: the shard-topology epoch, the ``(epoch, shard, grid_index)``
-verdict dedupe set, and which client chunks had been acknowledged.
+Workers are disposable — each replays its shard's rows from the epoch
+spool.  The coordinator itself holds three pieces of state that would
+otherwise live only in memory: the shard-topology epoch, the
+``(epoch, shard, grid_index)`` verdict dedupe set, and which client
+chunks had been acknowledged.
 ``coord.log`` journals all three, append-only with an fsync per
 record, so a *coordinator* death (SIGKILL, OOM) is as recoverable as a
 worker death: the warm standby tails this file and promotes with the
@@ -14,13 +15,16 @@ Record kinds (one JSON object per line):
 ``{"kind": "epoch", "epoch": E, "n_shards": N}``
     Topology: appended at first start and at every rebalance barrier.
 ``{"kind": "chunk", "client": C|null, "seq": S|null, "epoch": E,
-"rows": R, "cum": {shard: rows…}, "reply": {…}}``
-    One acknowledged ingest chunk.  ``cum`` is each touched shard's
-    *durable* spool row count after the chunk's segment cut — the
+"rows": R, "cum": N, "reply": {…}}``
+    One acknowledged ingest chunk.  ``cum`` is the epoch spool's
+    *durable* row count after the chunk's segment cut — the
     reconciliation watermark: at promotion, spool rows beyond the last
     journaled ``cum`` belong to a chunk that was never acknowledged
     and are truncated (the client will resend).  ``reply`` is the ack
-    payload, replayed verbatim for idempotent duplicate resends.
+    payload, replayed verbatim for idempotent duplicate resends.  A
+    ``cum`` that maps shards to row counts was written by a build that
+    kept one spool per shard; :attr:`LogState.per_shard_layout` flags
+    it, and the coordinator refuses to resume over it.
 ``{"kind": "verdict", "epoch": E, "shard": S, "grid": G,
 "verdict": {…}}``
     One accepted finalised-window verdict (the dedupe set + the
@@ -29,7 +33,7 @@ Record kinds (one JSON object per line):
     Terminal: the spool has been drained and reported; no contender
     may promote over it again.
 
-Ordering is the correctness argument: a chunk's segments are cut
+Ordering is the correctness argument: a chunk's segment is cut
 *before* its record is appended, and the record is appended *before*
 the client is acked.  Crash between cut and append → durable-but-
 unjournaled suffix → truncated at promotion, client resends, applied
@@ -71,11 +75,13 @@ class LogState:
     accepted: Dict[Tuple[int, int, int], Dict] = field(default_factory=dict)
     #: (epoch, shard) -> end of the last finalised window
     last_final_end: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    #: (epoch, shard) -> journaled durable spool row count
-    cum: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    #: epoch -> journaled durable spool row count
+    cum: Dict[int, int] = field(default_factory=dict)
     rows_ingested: int = 0
     records: int = 0
     drained: bool = False
+    #: A chunk record counted its rows per shard spool (older builds).
+    per_shard_layout: bool = False
 
     def apply(self, record: Dict) -> None:
         kind = record.get("kind")
@@ -92,8 +98,11 @@ class LogState:
                     int(record["seq"]),
                     dict(record.get("reply") or {}),
                 )
-            for shard, rows in (record.get("cum") or {}).items():
-                self.cum[(epoch, int(shard))] = int(rows)
+            cum = record.get("cum")
+            if isinstance(cum, dict):
+                self.per_shard_layout = True
+            elif cum is not None:
+                self.cum[epoch] = int(cum)
         elif kind == "verdict":
             epoch = int(record["epoch"])
             shard = int(record["shard"])

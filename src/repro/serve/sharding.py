@@ -8,15 +8,17 @@ blake2b instead — stable everywhere, uniform enough that shards stay
 balanced without any coordination state.
 
 Sharding by *host* (not by flow) is what makes per-shard detection
-sound: every flow a host initiates lands in the same shard's spool and
-the same worker's window state, so per-host features are computed from
-complete evidence no matter how many shards there are.
+sound: every flow a host initiates reaches the same worker's window
+state, so per-host features are computed from complete evidence no
+matter how many shards there are.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["shard_of", "ShardMap", "rebalance_moves"]
 
@@ -30,15 +32,34 @@ def shard_of(host: str, n_shards: int) -> int:
 
 
 class ShardMap:
-    """The host partition for one shard-count epoch."""
+    """The host partition for one shard-count epoch.
+
+    Each host is hashed once: the map keeps every host it has placed,
+    so placing the same hosts chunk after chunk costs one dictionary
+    lookup each.
+    """
 
     def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards)
+        self._placed = _Placed(self.n_shards)
 
     def shard_of(self, host: str) -> int:
-        return shard_of(host, self.n_shards)
+        return self._placed[host]
+
+    def shards(self, hosts: Sequence[str]) -> np.ndarray:
+        """Each host's shard, aligned with ``hosts``."""
+        return np.fromiter(
+            map(self._placed.__getitem__, hosts), np.intp, len(hosts)
+        )
+
+    def hosts_per_shard(self) -> List[int]:
+        """How many of the hosts placed so far each shard holds."""
+        counts = [0] * self.n_shards
+        for shard in self._placed.values():
+            counts[shard] += 1
+        return counts
 
     def partition(self, hosts: Iterable[str]) -> Dict[int, List[str]]:
         """Hosts grouped by shard (every shard present, sorted hosts)."""
@@ -51,6 +72,18 @@ class ShardMap:
 
     def __repr__(self) -> str:
         return f"ShardMap(n_shards={self.n_shards})"
+
+
+class _Placed(dict):
+    """``host -> shard``: a missing host is hashed and remembered."""
+
+    def __init__(self, n_shards: int) -> None:
+        super().__init__()
+        self.n_shards = n_shards
+
+    def __missing__(self, host: str) -> int:
+        shard = self[host] = shard_of(host, self.n_shards)
+        return shard
 
 
 def rebalance_moves(

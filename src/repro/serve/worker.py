@@ -7,7 +7,8 @@ incarnation — a SIGKILLed producer can leave a queue unusable, so a
 replacement worker never inherits its predecessor's):
 
 inbox (coordinator → worker)
-    ``("flows", seq, rows)`` — ingest projected flow rows;
+    ``("flows", seq, (segment, rows))`` — ingest this shard's ``rows``
+    rows of the epoch spool's newly cut ``segment``;
     ``("evaluate", seq, at)`` — score the current (unfinished) window;
     ``("finalize", seq, at)`` — tumble the current window early
     (drain / rebalance barrier);
@@ -21,20 +22,25 @@ outbox (worker → coordinator), one shape for every message:
     which the coordinator folds in with
     :meth:`~repro.obs.metrics.MetricsRegistry.merge_delta`.
 
-Workers are intentionally stateless beyond the current window: the
-coordinator owns the per-shard spool, so a killed worker's replacement
-simply replays the spool from the last finalised window boundary
-(``replay_t0``) on the same window grid (``window_origin``) and ends up
-scoring the identical window the dead worker was filling.  Flows
-travel as rows of the storage plane's five columns — the coordinator
-zips them from the columns it decodes and has already validated;
-:func:`row_of` is the same projection of one record.  The worker feeds
-its detector each inbox batch in one ``ingest_many`` call, as
-:class:`FlowRow` tuples — the five attributes the streaming extractor
-reads, nothing rebuilt or re-validated — so ingest telemetry is counted
-once per batch; :func:`replay_rows` turns the spool's gathered columns into
-the same rows, so live ingest and spool replay feed the detector
-identical values.
+Rows never travel through the queue: the coordinator cuts each acked
+chunk into the epoch spool (one store for every shard) and names the
+segment, and the worker reads from it the rows whose host maps to its
+shard under its epoch's shard count — passed at spawn, since a
+rebalance changes it.  The rows come in segment order, which is the
+chunk's order, as :class:`FlowRow` tuples — the five attributes the
+streaming extractor reads, nothing rebuilt or re-validated — fed to
+the detector in one ``ingest_many`` call, so ingest telemetry is
+counted once per segment.
+
+Workers are intentionally stateless beyond the current window: a
+killed worker's replacement replays its shard's rows of the epoch
+spool from the last finalised window boundary (``replay_t0``) on the
+same window grid (``window_origin``) and ends up scoring the identical
+window the dead worker was filling.  :func:`segment_rows` and
+:func:`replay_rows` build their rows with one helper, so live ingest
+and spool replay feed the detector identical values.  A segment that
+the replay already covered (cut after the spawn, before the replay
+opened the spool) is acknowledged without being ingested twice.
 """
 
 from __future__ import annotations
@@ -42,23 +48,22 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from itertools import repeat
+from pathlib import Path
 from queue import Empty
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ..detection.incremental import OnlineDetector
-from ..flows.record import FlowRecord
 from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..storage import SegmentStore
-from ..storage.format import StorageError
+from ..storage.format import StorageError, open_segment
 from .config import ServeConfig
+from .sharding import ShardMap
 
-__all__ = ["FlowRow", "row_of", "replay_rows", "worker_main"]
-
-#: The projected row a flow travels as: (src, dst, start, src_bytes,
-#: success) — exactly the columns the storage plane keeps and the
-#: features consume.
-Row = Tuple[str, str, float, int, bool]
+__all__ = ["FlowRow", "segment_rows", "replay_rows", "worker_main"]
 
 
 class FlowRow(NamedTuple):
@@ -73,46 +78,78 @@ class FlowRow(NamedTuple):
     failed: bool
 
 
-def row_of(flow: FlowRecord) -> Row:
-    """Project a flow onto the wire/storage columns."""
-    return (
-        flow.src,
-        flow.dst,
-        flow.start,
-        flow.src_bytes,
-        not flow.state.failed,
+#: ``hosts -> bool array``: which of the hosts belong to this shard.
+InShard = Callable[[Sequence[str]], np.ndarray]
+
+
+def in_shard(shard: int, n_shards: int) -> InShard:
+    """The shard-membership test of ``shard`` under ``n_shards``."""
+    shard_map = ShardMap(n_shards)
+    return lambda hosts: shard_map.shards(hosts) == shard
+
+
+def _flow_rows(src, dst, start, src_bytes, success) -> List[FlowRow]:
+    """Aligned columns (``src``/``dst`` as object arrays of str) as
+    rows, in the columns' order."""
+    # tuple.__new__ builds each FlowRow in C; the named tuple's own
+    # __new__ is a Python call per row, ~40% of the read.
+    return list(
+        map(
+            tuple.__new__,
+            repeat(FlowRow),
+            zip(
+                src.tolist(),
+                dst.tolist(),
+                start.tolist(),
+                src_bytes.tolist(),
+                (success == 0).tolist(),
+            ),
+        )
     )
 
 
-def replay_rows(spool_dir: str, replay_t0: Optional[float]) -> List[FlowRow]:
-    """The shard spool's rows from ``replay_t0`` on, time-ordered.
+def segment_rows(path: Path, mine: InShard) -> List[FlowRow]:
+    """One spool segment's rows whose host is ``mine``, in segment order.
+
+    The segment's mapping is never closed explicitly — numpy views may
+    still export it — it goes when the last reference does.
+    """
+    segment = open_segment(path)
+    codes = segment.src_codes
+    rows = np.flatnonzero(mine(segment.hosts)[codes])
+    hosts = np.array(segment.hosts, dtype=object)
+    dsts = np.array(segment.dsts, dtype=object)
+    return _flow_rows(
+        hosts[codes[rows]],
+        dsts[segment.dst_codes[rows]],
+        segment.starts[rows],
+        segment.src_bytes[rows],
+        segment.success[rows],
+    )
+
+
+def replay_rows(
+    store: SegmentStore, mine: InShard, replay_t0: Optional[float]
+) -> List[FlowRow]:
+    """The spool's rows of ``mine`` hosts from ``replay_t0`` on,
+    time-ordered.
 
     The gather returns rows grouped by host; tumbling-window ingest
     needs global time order (a late host group would straddle an
     already-tumbled boundary), so the rows are stable-sorted by start
-    — per-host order is already start-sorted and survives.  Returns
-    ``[]`` when the spool is missing, unreadable or empty: a fresh
-    worker with nothing to replay.
+    — per-host order is already start-sorted and survives.
     """
-    try:
-        store = SegmentStore.open(spool_dir)
-    except (StorageError, OSError):
-        return []
     gathered = store.gather(t0=replay_t0)
-    dsts = gathered.dsts
-    srcs: List[str] = []
-    for host, count in zip(gathered.hosts, gathered.counts.tolist()):
-        srcs.extend([host] * count)
-    rows = [
-        FlowRow(src, dsts[dcode], start, size, not ok)
-        for src, dcode, start, size, ok in zip(
-            srcs,
-            gathered.dst_codes.tolist(),
-            gathered.starts.tolist(),
-            gathered.src_bytes.tolist(),
-            gathered.success.tolist(),
-        )
-    ]
+    keep = np.repeat(mine(gathered.hosts), gathered.counts)
+    src = np.repeat(np.array(gathered.hosts, dtype=object), gathered.counts)
+    dsts = np.array(gathered.dsts, dtype=object)
+    rows = _flow_rows(
+        src[keep],
+        dsts[gathered.dst_codes[keep]],
+        gathered.starts[keep],
+        gathered.src_bytes[keep],
+        gathered.success[keep],
+    )
     rows.sort(key=lambda row: row.start)
     return rows
 
@@ -124,9 +161,14 @@ def worker_main(
     inbox,
     outbox,
     spool_dir: str,
+    n_shards: int,
     replay_t0: Optional[float],
 ) -> None:
-    """Run one shard's detection loop until told to stop (or killed)."""
+    """Run one shard's detection loop until told to stop (or killed).
+
+    ``spool_dir`` is the epoch spool and ``n_shards`` the epoch's
+    shard count, which after a rebalance is not ``config.n_shards``.
+    """
     obs_metrics.enable()
     registry = obs_metrics.get_registry()
     baseline = registry.state()
@@ -146,7 +188,15 @@ def worker_main(
             detector.internal_hosts.update(row.src for row in rows)
         detector.ingest_many(rows)
 
-    replayed = replay_rows(spool_dir, replay_t0)
+    mine = in_shard(shard, n_shards)
+    # A missing, unreadable or empty spool replays nothing.
+    try:
+        store: Optional[SegmentStore] = SegmentStore.open(spool_dir)
+    except (StorageError, OSError):
+        store = None
+    replayed = [] if store is None else replay_rows(store, mine, replay_t0)
+    covered = set() if store is None else {meta.name for meta in store.metas}
+    del store
     ingest(replayed)
 
     shipped = 0
@@ -183,19 +233,20 @@ def worker_main(
             continue
         command, seq = message[0], message[1]
         if command == "flows":
-            rows = message[2]
-            ingest(
-                [
-                    FlowRow(src, dst, start, src_bytes, not success)
-                    for src, dst, start, src_bytes, success in rows
-                ]
-            )
-            # The injected OOM-kill strikes here — after a batch is in
-            # window state but before anything ships — so recovery
-            # tests exercise the full replay path, not a lucky
-            # already-shipped corner.
+            name, count = message[2]
+            if name not in covered:
+                # Segments arrive in cut order: once one is past the
+                # replay, every later one is too.
+                covered = set()
+                rows = segment_rows(Path(spool_dir) / name, mine)
+                ingest(rows)
+                count = len(rows)
+            # The injected OOM-kill strikes here — after a segment's
+            # rows are in window state but before anything ships — so
+            # recovery tests exercise the full replay path, not a
+            # lucky already-shipped corner.
             faults.serve_worker_exit_once()
-            ship("ack", seq, {"rows": len(rows)})
+            ship("ack", seq, {"rows": count})
         elif command == "evaluate":
             verdict = detector.evaluate(message[2])
             ship("evaluated", seq, json.loads(verdict.to_json()))

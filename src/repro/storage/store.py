@@ -1004,8 +1004,8 @@ class StoreChain(_SegmentReads):
     tie order a :class:`~repro.flows.store.FlowStore` gets from
     ``extend``-ing each store's rows in turn.  A
     :class:`~repro.storage.view.StoreView` reads a chain as it reads
-    one store; the serve drain scores every epoch's shard spools
-    through one.
+    one store; the serve drain scores every epoch's spool through
+    one.
     """
 
     def __init__(self, stores: Sequence[SegmentStore]) -> None:

@@ -21,7 +21,7 @@ surgical on replay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = ["DEFAULT_SEGMENT_ROWS", "DEFAULT_SEGMENT_BYTES", "SegmentWriter"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..flows.record import FlowRecord
+    from .format import SegmentMeta
     from .store import SegmentStore
 
 #: Default segment cut thresholds: 256k rows is a few MB per column —
@@ -81,6 +82,8 @@ class SegmentWriter:
         )
         self.rows_written = 0
         self.segments_cut = 0
+        #: Catalog entry of the last segment this writer cut.
+        self.last_segment: Optional["SegmentMeta"] = None
         self._buffered = 0
         self._starts: List[float] = []
         self._src_bytes: List[int] = []
@@ -174,6 +177,15 @@ class SegmentWriter:
         """Rows currently buffered (not yet in any segment)."""
         return self._buffered
 
+    def buffered_hosts(self) -> Tuple[List[str], np.ndarray]:
+        """The buffered rows' initiators: the host table the next cut
+        writes (hosts in code order) and each buffered row's code."""
+        self._seal()
+        codes = [chunk[3] for chunk in self._chunks]
+        return list(self._host_code), np.concatenate(
+            codes or [np.zeros(0, dtype=np.int32)]
+        )
+
     def _seal(self) -> None:
         """Move the rows buffered one at a time into an array chunk."""
         if self._starts:
@@ -206,7 +218,7 @@ class SegmentWriter:
         starts, src_bytes, success, src_codes, dst_codes = (
             np.concatenate(column) for column in zip(*self._chunks)
         )
-        self.store.append_segment(
+        self.last_segment = self.store.append_segment(
             starts=starts,
             src_bytes=src_bytes,
             success=success,

@@ -47,7 +47,6 @@ from repro.flows.argus import (
     row_to_flow,
 )
 from repro.flows.store import FlowStore
-from repro.serve.worker import row_of
 from repro.storage import fresh_store
 
 HOSTS = [f"10.0.0.{i}" for i in range(5)] + ["10.0.0.9\nmultiline"]
@@ -260,6 +259,16 @@ def rows_of(store) -> list:
     return [flow_to_row(flow) for flow in store]
 
 
+def row_of(flow) -> tuple:
+    """A flow's five stored columns, Python-typed."""
+    return (flow.src, flow.dst, flow.start, flow.src_bytes, not flow.state.failed)
+
+
+def column_rows(columns) -> list:
+    """Decoded columns as Python-typed rows, one tuple per flow."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def dir_bytes(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -365,7 +374,7 @@ def check_string_readers(text: str, errors: str, tmp: Path) -> None:
         expected_rows = [row_of(flow) for flow in store]
 
     # loads_columns: the same rows, in the same order, as typed arrays
-    # whose rows() are what row_of gives a worker, types included.
+    # whose elements are row_of's values, types included.
     ref = reference()
     observe(lambda: list(ref.flows()))
     result, message, deltas = observe(
@@ -377,7 +386,7 @@ def check_string_readers(text: str, errors: str, tmp: Path) -> None:
         columns, report = result
         check_report(report, ref, None)
         assert [column.dtype for column in columns] == COLUMN_DTYPES
-        rows = columns.rows()
+        rows = column_rows(columns)
         assert [tuple(map(type, r)) for r in rows] == [
             tuple(map(type, r)) for r in expected_rows
         ]
@@ -594,7 +603,7 @@ def test_clean_trace_never_takes_the_row_path(monkeypatch, tmp_path):
     assert rows_of(loads_report(text)[0]) == expected
     assert rows_of(read_flows_report(trace)[0]) == expected
     columns, _ = loads_columns(text)
-    rows = columns.rows()
+    rows = column_rows(columns)
     expected_rows = [row_of(flow) for flow in FlowStore(flows)]
     assert rows == expected_rows
     assert [tuple(map(type, r)) for r in rows] == [

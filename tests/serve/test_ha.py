@@ -131,17 +131,17 @@ class TestPromotion:
         # Simulate the crash window between segment cut and journal
         # append: durable rows with no chunk record.  They must be
         # truncated at promotion (the client would resend them).
-        shard_dir = spool / "epoch-000" / "shard-00"
-        store = SegmentStore.open(shard_dir)
+        spool_dir = spool / "epoch-000"
+        store = SegmentStore.open(spool_dir)
         journaled = store.total_rows
         writer = store.writer()
         for flow in list(trace_store)[:5]:
             writer.add(flow)
         writer.cut()
-        assert SegmentStore.open(shard_dir).total_rows == journaled + 5
+        assert SegmentStore.open(spool_dir).total_rows == journaled + 5
 
         standby = make(incarnation=2)
-        assert SegmentStore.open(shard_dir).total_rows == journaled
+        assert SegmentStore.open(spool_dir).total_rows == journaled
 
         result, report = standby.drain()
         batch = find_plotters(trace_store, None, standby.config.pipeline)
@@ -445,13 +445,3 @@ class TestRunHA:
             spool_dir=str(spool), n_shards=1, window=WINDOW
         )
         assert run_ha(config) is None
-
-    def test_run_ha_requires_durable_acks(self, tmp_path):
-        config = ServeConfig(
-            spool_dir=str(tmp_path / "svc"),
-            n_shards=1,
-            window=WINDOW,
-            durable_acks=False,
-        )
-        with pytest.raises(ValueError, match="durable_acks"):
-            run_ha(config)

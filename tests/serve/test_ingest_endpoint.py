@@ -14,7 +14,7 @@ import pytest
 
 from repro.flows.argus import ARGUS_COLUMNS, dumps, flow_to_row, loads
 from repro.flows.record import FlowRecord, FlowState, Protocol
-from repro.serve.worker import row_of
+from repro.serve.worker import FlowRow, in_shard, segment_rows
 from repro.storage import SegmentStore
 
 HEADER = ",".join(ARGUS_COLUMNS) + "\r\n"
@@ -81,10 +81,8 @@ class TestConcurrentPosts:
         total = n_threads * chunks * per_chunk
         assert coordinator.rows_ingested == total
 
-        # Flush the writer's buffered tail, then read the spool back.
-        with coordinator._lock:
-            coordinator._writers[0].cut()
-        store = SegmentStore.open(coordinator._shard_dir(0))
+        # Every acked chunk is already cut: read the spool back.
+        store = SegmentStore.open(coordinator._epoch_dir())
         assert store.total_rows == total
         gathered = store.gather()
         offset = 0
@@ -198,9 +196,7 @@ class TestIngestPolicy:
             )
             assert status == 200
             assert (reply["rows_ok"], reply["rows_bad"]) == (4, 1 if extra else 0)
-        with coordinator._lock:
-            coordinator._writers[0].cut()
-        assert SegmentStore.open(coordinator._shard_dir(0)).total_rows == 12
+        assert SegmentStore.open(coordinator._epoch_dir()).total_rows == 12
 
     def test_empty_body_is_400(self, make_coordinator):
         coordinator = make_coordinator(n_shards=1)
@@ -219,14 +215,20 @@ class TestIngestPolicy:
         assert excinfo.value.code == 503
 
 
+def row_of(flow) -> FlowRow:
+    """What a worker should read for ``flow``."""
+    return FlowRow(flow.src, flow.dst, flow.start, flow.src_bytes, flow.state.failed)
+
+
 class TestColumnarIngest:
     def test_worker_batches_equal_row_of_over_loads(
         self, make_coordinator, monkeypatch
     ):
         # The coordinator decodes a chunk to columns and never builds a
-        # record; each shard's worker batch must still be exactly the
-        # projection of the flows loads() parses — same rows, same
-        # order (loads() orders by start), same types.
+        # record; the rows each shard's worker reads from the chunk's
+        # segment must still be exactly the projection of the flows
+        # loads() parses — same rows, same order (loads() orders by
+        # start), same types.
         coordinator = make_coordinator(n_shards=3, window=1e9)
         sent = {}
         for shard, worker in coordinator._workers.items():
@@ -237,6 +239,7 @@ class TestColumnarIngest:
                 _put(message)
 
             monkeypatch.setattr(worker.inbox, "put", put)
+        spool = coordinator._epoch_dir()
         rng = random.Random(5)
         hosts = [f"10.5.0.{i}" for i in range(12)]
         huge = flow_to_row(_host_flows("10.5.0.1", 0.0, 1)[0])
@@ -265,7 +268,10 @@ class TestColumnarIngest:
             for flow in loads(text, errors="skip"):
                 shard = coordinator.shard_map.shard_of(flow.src)
                 expected.setdefault(shard, []).append(row_of(flow))
-            got = {shard: batches[0] for shard, batches in sent.items()}
+            got = {}
+            for shard, [(name, rows)] in sent.items():
+                got[shard] = segment_rows(spool / name, in_shard(shard, 3))
+                assert rows == len(got[shard])
             assert got == expected
             assert {
                 shard: [tuple(map(type, row)) for row in rows]

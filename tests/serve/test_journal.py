@@ -14,7 +14,7 @@ def _chunk(client, seq, epoch=0, rows=10, cum=None, reply=None):
         "seq": seq,
         "epoch": epoch,
         "rows": rows,
-        "cum": cum or {},
+        "cum": cum,
         "reply": reply or {"rows_ok": rows},
     }
 
@@ -23,8 +23,8 @@ class TestLogState:
     def test_replay_rebuilds_every_table(self):
         state = LogState()
         state.apply({"kind": "epoch", "epoch": 0, "n_shards": 2})
-        state.apply(_chunk("c1", 1, cum={"0": 10}))
-        state.apply(_chunk("c1", 2, cum={"0": 15, "1": 5}))
+        state.apply(_chunk("c1", 1, cum=10))
+        state.apply(_chunk("c1", 2, cum=20))
         state.apply(
             {
                 "kind": "verdict",
@@ -38,12 +38,20 @@ class TestLogState:
         assert state.epoch == 1
         assert state.n_shards == 3
         assert state.applied["c1"][0] == 2
-        assert state.cum[(0, 0)] == 15
-        assert state.cum[(0, 1)] == 5
+        assert state.cum == {0: 20}
         assert state.accepted[(0, 0, 3)] == {"evaluated_at": 900.0}
         assert state.last_final_end[(0, 0)] == 900.0
         assert state.rows_ingested == 20
         assert not state.drained
+        assert not state.per_shard_layout
+
+    def test_per_shard_cum_flags_the_old_layout(self):
+        state = LogState()
+        state.apply(_chunk("c1", 1, cum=10))
+        assert not state.per_shard_layout
+        state.apply(_chunk("c1", 2, cum={"0": 15, "1": 5}))
+        assert state.per_shard_layout
+        assert state.cum == {0: 10}
 
     def test_seen_answers_for_current_and_earlier_seq(self):
         state = LogState()

@@ -44,7 +44,7 @@ def _spawn_worker_then_die(spool_dir: str, pid_file: str) -> None:
     inbox, outbox = ctx.Queue(), ctx.Queue()
     worker = ctx.Process(
         target=worker_main,
-        args=(0, 0, config, inbox, outbox, spool_dir, None),
+        args=(0, 0, config, inbox, outbox, spool_dir, 1, None),
     )
     worker.start()
     Path(pid_file).write_text(str(worker.pid))

@@ -198,7 +198,7 @@ def test_the_500th_append_costs_what_the_first_does(tmp_path, fsyncs):
     assert SegmentStore.open(store.directory).total_rows == 500
 
 
-def test_a_two_shard_ingest_makes_five_fsyncs(tmp_path, monkeypatch):
+def test_a_two_shard_ingest_makes_three_fsyncs(tmp_path, monkeypatch):
     flows = [
         FlowRecord(
             src=f"10.0.0.{i}",
@@ -229,8 +229,9 @@ def test_a_two_shard_ingest_makes_five_fsyncs(tmp_path, monkeypatch):
         coordinator.close()
     assert reply["rows_ok"] == 20
     assert len(reply["shards"]) == 2
-    # Two segment cuts (file + directory each) and one journal append.
-    assert len(calls) == 5
+    # One segment cut for both shards (file + directory) and one
+    # journal append.
+    assert len(calls) == 3
 
 
 def test_a_store_written_before_the_rename_commit_opens_unchanged(tmp_path):

@@ -8,11 +8,12 @@ percentile thresholds amplify any drift into different suspect sets.
 """
 
 import random
+import traceback
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.detection.pipeline import PipelineConfig, find_plotters
 from repro.flows import FlowRecord, FlowState, FlowStore, Protocol
@@ -153,17 +154,43 @@ class TestMultiStoreView:
             st.integers(min_value=0, max_value=31).map(float),
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    # No explain phase: after a first failure it line-traces every
+    # later example (sys.settrace before Python 3.12) and keeps each
+    # example's branch set, which for an example that runs
+    # find_plotters twice made shrinking take minutes and gigabytes.
+    @settings(
+        max_examples=60,
+        deadline=None,
+        phases=[p for p in Phase if p is not Phase.explain],
+    )
     def test_chained_stores_match_one_flow_store(
         self, rows, cuts, n_shards, segment_rows, window, tmp_path_factory
     ):
+        # Hypothesis keeps each failing example's exception in its
+        # example cache while it shrinks, and with it the frames of its
+        # traceback: an assertion raised in the frame that holds the
+        # example's memory-mapped stores (one open file each), views
+        # and results would keep every one of them alive until the run
+        # ends.  The checks run in a helper whose frame is gone before
+        # this test fails.
+        try:
+            self.check_chain(
+                rows, cuts, n_shards, segment_rows, window,
+                tmp_path_factory.mktemp("chain"),
+            )
+        except AssertionError:
+            failure = traceback.format_exc()
+        else:
+            return
+        raise AssertionError(failure)
+
+    def check_chain(self, rows, cuts, n_shards, segment_rows, window, tmp):
         flows = [
             flow(src=f"h{s}", dst=f"d{d}", start=t, src_bytes=b, failed=bad)
             for s, d, t, b, bad in rows
         ]
         # Epoch boundaries at percentages of the row list.
         bounds = [0, *sorted(len(flows) * c // 100 for c in cuts), len(flows)]
-        tmp = tmp_path_factory.mktemp("chain")
         stores = []
         for epoch, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             for shard in range(n_shards):
